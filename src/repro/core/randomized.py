@@ -38,6 +38,7 @@ from repro.core.dataset import Dataset
 from repro.core.ranking import Ranking
 from repro.core.region import FullSpace, RegionOfInterest
 from repro.core.stability import StabilityResult
+from repro.deadline import current_deadline
 from repro.engine import kernel, kernels
 from repro.errors import BudgetExceededError, ExhaustedError
 from repro.sampling.montecarlo import confidence_error
@@ -200,10 +201,10 @@ class GetNextRandomized:
     def prepare_observe(self, n_new: int) -> None:
         """Install the strict k-skyband candidate set when it pays off.
 
-        Public so external observe drivers (the shard-parallel observer
-        of :mod:`repro.service.parallel`) can reproduce the serial
-        path's state transitions — index construction and the chunk
-        re-tune — before planning their own chunk decomposition.
+        Idempotent; :meth:`observe` calls it first.  Public so the
+        executors of :mod:`repro.service.parallel` can size a pass by
+        its real chunk plan — after index construction and the chunk
+        re-tune — before choosing how to reduce it.
         """
         if self._prune_topk is False or self._candidates is not None:
             return
@@ -251,46 +252,32 @@ class GetNextRandomized:
     def sample_weights(self, batch: int) -> np.ndarray:
         """The next ``batch`` sampled weight rows of this operator's stream.
 
-        The single sampling entry point shared by the serial observe
-        loop and the thread/process observers — ``"mc"`` consumes the
-        rng, ``"qmc"`` advances the low-discrepancy stream.  Callers
-        must draw in plan order (one chunk at a time) so every observe
-        path consumes the identical stream.
+        The single sampling entry point of the observe loop — ``"mc"``
+        consumes the rng, ``"qmc"`` advances the low-discrepancy
+        stream.  Callers must draw in plan order (one chunk at a time)
+        so every pass consumes the identical stream.
         """
         if self._qmc is not None:
             return self._qmc.sample(batch)
         return self.region.sample(batch, self.rng)
 
-    def rows_for_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Ranking-key rows induced by a block of sampled functions.
-
-        Pure (no operator state is mutated), so blocks can be reduced
-        concurrently; candidate-space top-k rows are mapped back to
-        dataset identifiers.
-        """
+    def _scored(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The scored matrix and its row-to-item map (``None``: identity)."""
         if self._candidate_values is not None:
-            values, candidates = self._candidate_values, self._candidates
-        else:
-            values, candidates = self.dataset.values, None
-        scores = kernel.score_block(values, weights)
-        rows = self.kernel_backend.rank_rows(scores, kind=self.kind, k=self.k)
-        if candidates is not None:
-            rows = candidates[rows]
-        return rows
+            return self._candidate_values, self._candidates
+        return self.dataset.values, None
 
     def reduce_for_weights(self, weights: np.ndarray, *, out: np.ndarray | None = None):
         """One chunk's pure reduction on the active kernel backend.
 
         Returns ``(uniques, freqs, n_rows)`` for
-        :meth:`~repro.engine.kernel.RankingTally.observe_packed`; pure
-        like :meth:`rows_for_weights`, so the thread observer submits it
+        :meth:`~repro.engine.kernel.RankingTally.observe_packed`.  No
+        operator state is mutated, so pooled executors run it
         concurrently.  ``out`` optionally reuses a preallocated score
-        buffer (serial path only — concurrent chunks must not share one).
+        buffer (inline reduction only — concurrent chunks must not
+        share one).
         """
-        if self._candidate_values is not None:
-            values, candidates = self._candidate_values, self._candidates
-        else:
-            values, candidates = self.dataset.values, None
+        values, candidates = self._scored()
         return self.kernel_backend.reduce_chunk(
             values,
             weights,
@@ -301,47 +288,75 @@ class GetNextRandomized:
             out=out,
         )
 
-    def observe(self, n_new: int) -> None:
-        """Draw ``n_new`` functions and tally the induced (partial) rankings."""
+    def observe(self, n_new: int, *, reduce_many=None, group: int = 4) -> None:
+        """Draw ``n_new`` functions and tally the induced (partial) rankings.
+
+        The one observe loop behind every executor.  It alone draws
+        weights (in plan order, on the caller's thread), checks the
+        ambient :func:`~repro.deadline.current_deadline`, folds chunk
+        results in plan order, and records the ``observe.sample`` /
+        ``observe.reduce`` / ``observe.fold`` stages — so the tally,
+        the rng stream and the trace are the same whichever executor
+        reduces the chunks.
+
+        ``reduce_many`` maps an iterable of weight blocks to their
+        :meth:`reduce_for_weights` results, in the same order.  ``None``
+        reduces inline: lazily, one chunk at a time, reusing one score
+        buffer.  Thread and process executors pass their pool's map.
+
+        Without an ambient deadline the pass is a single group.  Under
+        one, the deadline is checked before the pass and after every
+        ``group`` chunks; expiry raises
+        :class:`~repro.deadline.DeadlineExceededError` with every
+        completed group already pooled, so a retry resumes warm.
+        """
         if n_new <= 0:
             return
+        deadline = current_deadline()
+        if deadline is not None:
+            deadline.check("before the observe pass started")
         self.prepare_observe(n_new)
         plan = self.plan_chunks(n_new)
-        if not plan:
-            return
-        n_effective = (
-            self._candidate_values.shape[0]
-            if self._candidate_values is not None
-            else self.dataset.n_items
-        )
-        # One score buffer for the whole pass: every chunk's GEMM writes
-        # into the same (chunk, n) block instead of allocating afresh.
-        buf = np.empty((max(plan), n_effective), dtype=np.float64)
-        if not obs_trace.tracing_enabled():
-            for batch in plan:
-                weights = self.sample_weights(batch)
-                keys, freqs, n_rows = self.reduce_for_weights(weights, out=buf)
-                self._tally.observe_packed(keys, freqs, n_rows)
-            return
-        # Traced pass: accumulate per-stage time locally and record one
-        # aggregate span per stage, instead of a span per chunk.
-        sample_s = reduce_s = fold_s = 0.0
+        if reduce_many is None:
+            # One score buffer for the whole pass: every chunk's GEMM
+            # writes into the same (chunk, n) block.
+            buf = np.empty((max(plan), len(self._scored()[0])), dtype=np.float64)
+            reduce_many = lambda blocks: (  # noqa: E731
+                self.reduce_for_weights(w, out=buf) for w in blocks
+            )
+        step = len(plan) if deadline is None else max(1, group)
         clock = time.perf_counter
-        for batch in plan:
-            t0 = clock()
-            weights = self.sample_weights(batch)
-            t1 = clock()
-            keys, freqs, n_rows = self.reduce_for_weights(weights, out=buf)
-            t2 = clock()
-            self._tally.observe_packed(keys, freqs, n_rows)
-            fold_s += clock() - t2
-            sample_s += t1 - t0
-            reduce_s += t2 - t1
-        chunks = len(plan)
-        obs_trace.record("observe.sample", sample_s, count=chunks, n=n_new)
-        obs_trace.record("observe.reduce", reduce_s, count=chunks,
-                         kernel=self.kernel_backend.name)
-        obs_trace.record("observe.fold", fold_s, count=chunks)
+        sample_s = fold_s = 0.0
+
+        def sampled(sizes):
+            nonlocal sample_s
+            for batch in sizes:
+                t0 = clock()
+                weights = self.sample_weights(batch)
+                sample_s += clock() - t0
+                yield weights
+
+        started = clock()
+        for start in range(0, len(plan), step):
+            if start:
+                deadline.check(
+                    f"observe pass cancelled after {sum(plan[:start])} of "
+                    f"{n_new} samples (completed samples stay pooled)"
+                )
+            for keys, freqs, n_rows in reduce_many(sampled(plan[start:start + step])):
+                t0 = clock()
+                self._tally.observe_packed(keys, freqs, n_rows)
+                fold_s += clock() - t0
+        if obs_trace.tracing_enabled():
+            # One aggregate span per stage, not one per chunk.  Reduce
+            # is the remainder: kernel time inline, submit-and-wait on
+            # a pool.
+            chunks = len(plan)
+            reduce_s = clock() - started - sample_s - fold_s
+            obs_trace.record("observe.sample", sample_s, count=chunks, n=n_new)
+            obs_trace.record("observe.reduce", reduce_s, count=chunks,
+                             kernel=self.kernel_backend.name)
+            obs_trace.record("observe.fold", fold_s, count=chunks)
 
     def _result_for(self, key: bytes) -> StabilityResult:
         count = self._tally.count_of(key)

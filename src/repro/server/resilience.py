@@ -9,7 +9,9 @@ the contract stays coherent across the stack:
   cold observes check the ambient deadline between chunk-plan groups
   (:func:`deadline_scope` / :func:`current_deadline`) — cooperative
   cancellation that keeps every completed chunk in the pool, so a
-  retry resumes warm instead of resampling from zero.
+  retry resumes warm instead of resampling from zero.  The deadline
+  primitives live in :mod:`repro.deadline`, below the service tier
+  that reads them; this module re-exports them.
 
 - **Retries** — :class:`RetryPolicy` (exponential backoff with full
   jitter, a token retry budget) plus a per-address
@@ -41,14 +43,18 @@ The module's counters (:data:`RETRIES`, :data:`DEADLINE_EXCEEDED`,
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import random
 import re
 import threading
 import time
 from dataclasses import dataclass
 
+from repro.deadline import (
+    Deadline,
+    DeadlineExceededError,
+    current_deadline,
+    deadline_scope,
+)
 from repro.obs import log_event
 from repro.obs.metrics import Counter, MetricsRegistry
 
@@ -132,100 +138,6 @@ def register_resilience_metrics(
         lambda: 1.0 if fn() else 0.0,
         help="1 while the server sheds cold observes under memory pressure.",
     )
-
-
-# ----------------------------------------------------------------------
-# Deadlines
-# ----------------------------------------------------------------------
-class DeadlineExceededError(Exception):
-    """A request's deadline expired before (or while) serving it.
-
-    Raised by cooperative cancellation points; the protocol layer maps
-    it to the ``deadline_exceeded`` error code.  Work already completed
-    (pool samples from finished chunk groups) is kept, so a retry of an
-    idempotent read resumes warm.
-    """
-
-
-class Deadline:
-    """A wall-deadline anchored on the monotonic clock.
-
-    Built once at request receipt (``deadline_ms`` is *relative* to
-    receipt, so client and server clocks never need agreement) and
-    threaded — explicitly or via :func:`deadline_scope` — through lock
-    waits, dispatch, and the observe path.
-    """
-
-    __slots__ = ("deadline_ms", "expires_at")
-
-    def __init__(self, deadline_ms: float, *, expires_at: float | None = None):
-        self.deadline_ms = float(deadline_ms)
-        self.expires_at = (
-            expires_at
-            if expires_at is not None
-            else time.monotonic() + self.deadline_ms / 1000.0
-        )
-
-    @classmethod
-    def from_request(cls, payload: dict) -> "Deadline | None":
-        """The request's deadline, or ``None`` when it did not name one.
-
-        Assumes the field already passed protocol validation; garbage
-        values are ignored rather than raised (defense in depth for
-        direct dispatch callers).
-        """
-        value = payload.get("deadline_ms")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        if not value > 0:
-            return None
-        return cls(value)
-
-    def remaining(self) -> float:
-        """Seconds until expiry (negative once past it)."""
-        return self.expires_at - time.monotonic()
-
-    def expired(self) -> bool:
-        return time.monotonic() >= self.expires_at
-
-    def check(self, what: str = "request") -> None:
-        """Raise :class:`DeadlineExceededError` once the deadline passed."""
-        if self.expired():
-            raise DeadlineExceededError(
-                f"deadline of {self.deadline_ms:g} ms exceeded: {what}"
-            )
-
-    def __repr__(self) -> str:
-        return f"Deadline({self.deadline_ms:g}ms, {self.remaining():.3f}s left)"
-
-
-_DEADLINE: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
-    "repro_deadline", default=None
-)
-
-
-def current_deadline() -> Deadline | None:
-    """The ambient deadline of the request being served (or ``None``)."""
-    return _DEADLINE.get()
-
-
-@contextlib.contextmanager
-def deadline_scope(deadline: Deadline | None):
-    """Make ``deadline`` ambient for the duration of the block.
-
-    ``None`` is a no-op scope, so callers can wrap unconditionally.
-    The contextvar is set on the *current thread's* context — dispatch
-    runs on an executor thread and sets the scope there, which is
-    exactly where the observe loop later reads it.
-    """
-    if deadline is None:
-        yield
-        return
-    token = _DEADLINE.set(deadline)
-    try:
-        yield
-    finally:
-        _DEADLINE.reset(token)
 
 
 # ----------------------------------------------------------------------

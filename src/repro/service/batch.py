@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from repro.core.stability import StabilityResult
+from repro.deadline import Deadline, DeadlineExceededError, deadline_scope
 from repro.service.budget import PrecisionBudget, parse_budget
 
 __all__ = ["StabilityRequest", "BatchOutcome", "BatchPlanner", "execute_batch"]
@@ -65,7 +66,7 @@ class StabilityRequest:
         Optional relative deadline, anchored at request *construction*
         (wire requests carry their deadline at the protocol layer
         instead, anchored at receipt).  An expired request fails alone
-        with :class:`~repro.server.resilience.DeadlineExceededError`;
+        with :class:`~repro.deadline.DeadlineExceededError`;
         the rest of the batch answers normally.
     """
 
@@ -106,8 +107,6 @@ class StabilityRequest:
                     "deadline_ms must be a positive finite number of "
                     f"milliseconds, got {dms!r}"
                 )
-            from repro.server.resilience import Deadline
-
             object.__setattr__(self, "deadline_ms", float(dms))
             object.__setattr__(self, "_deadline", Deadline(float(dms)))
 
@@ -250,14 +249,6 @@ class BatchPlanner:
             entry["drawn"] += drawn
             entry["executor"] = last.get("executor")
             entry["chunks"] = last.get("chunks", 0)
-
-        # Deadline plumbing is lazy-imported: the resilience layer
-        # lives above the service tier, and importing it at module
-        # level would re-enter the server -> session import cycle.
-        from repro.server.resilience import (
-            DeadlineExceededError,
-            deadline_scope,
-        )
 
         for (kind, k, backend), target in self.prefill_targets.items():
             try:

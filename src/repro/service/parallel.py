@@ -1,27 +1,23 @@
-"""Shard-parallel observe for the randomized backend.
+"""Thread-pool observe, and the executor dial over serial/thread/process.
 
-The kernel's observe pass is embarrassingly parallel across scoring
-chunks: each chunk's BLAS product, ranking-key reduction, and byte-pack
-is independent, and numpy releases the GIL inside all three, so a
-thread pool scales the pass across cores without pickling the dataset;
-a *process* pool (:mod:`repro.service.procpool`) goes further, moving
-the whole reduction — including the GIL-bound byte-pack/unique tail —
-out of the serving process over zero-copy shared-memory views.
+An observe pass is embarrassingly parallel across scoring chunks: each
+chunk's BLAS product, ranking-key reduction and byte-pack is
+independent, and numpy releases the GIL inside all three, so a thread
+pool scales the pass across cores without pickling the dataset; a
+*process* pool (:mod:`repro.service.procpool`) goes further, moving the
+whole reduction — including the GIL-bound byte-pack/unique tail — out
+of the serving process over zero-copy shared-memory views.
 
-Exact serial equivalence is preserved by construction (both pools):
-
-1. the pruning-index build and chunk plan run first, exactly as the
-   serial path would (:meth:`GetNextRandomized.prepare_observe` /
-   :meth:`~GetNextRandomized.plan_chunks` — deterministic, and pinnable
-   via the ``REPRO_SCORING_CHUNK`` environment variable);
-2. weight sampling stays on the caller's thread, one chunk at a time in
-   plan order, so the operator's rng consumes the identical stream;
-3. workers run only the pure chunk reduction
-   (:meth:`~GetNextRandomized.rows_for_weights` + byte-pack +
-   ``np.unique``), producing a mergeable mini-tally per chunk;
-4. mini-tallies fold into the operator's tally **in plan order**
-   (:meth:`RankingTally.observe_packed`), reproducing the serial
-   tally byte-for-byte — counts, totals, and first-seen tie-breaks.
+Every executor runs the same loop,
+:meth:`GetNextRandomized.observe <repro.core.randomized.GetNextRandomized.observe>`,
+and supplies only its ``reduce_many`` map from weight blocks to chunk
+reductions.  Serial equivalence therefore holds by construction: the
+loop prepares the pruning index and chunk plan (pinnable via the
+``REPRO_SCORING_CHUNK`` environment variable), draws weights on the
+caller's thread in plan order, and folds results in plan order —
+counts, totals, first-seen tie-breaks and the rng stream match the
+serial pass byte for byte, and the ``observe.*`` trace stages are the
+same under every executor.
 
 :class:`ObserveExecutor` is the one dial over all of it: ``serial`` /
 ``thread`` / ``process`` backends behind a single ``observe`` call,
@@ -34,10 +30,9 @@ with an ``auto`` mode that picks per pass from the work size
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import Executor, ThreadPoolExecutor
-
-import numpy as np
+from contextlib import ExitStack
+from functools import partial
 
 from repro.core.randomized import GetNextRandomized
 from repro.obs import tracing as obs_trace
@@ -52,6 +47,7 @@ __all__ = [
     "EXECUTOR_MODES",
     "default_workers",
     "should_parallelize",
+    "pool_group",
     "resolve_executor_mode",
     "parallel_observe",
     "ObserveExecutor",
@@ -114,20 +110,22 @@ def default_workers() -> int:
     return workers
 
 
-def should_parallelize(
-    n_items: int,
-    n_chunks: int,
-    max_workers: int,
-    *,
-    min_items: int = PARALLEL_MIN_ITEMS,
-    min_chunks: int = PARALLEL_MIN_CHUNKS,
-) -> bool:
+def should_parallelize(n_items: int, n_chunks: int, max_workers: int) -> bool:
     """The auto threshold: shard only when the pass can win."""
     return (
         max_workers > 1
-        and n_items >= min_items
-        and n_chunks >= min_chunks
+        and n_items >= PARALLEL_MIN_ITEMS
+        and n_chunks >= PARALLEL_MIN_CHUNKS
     )
+
+
+def pool_group(width: int) -> int:
+    """Chunks between deadline checks on a pool of ``width`` workers.
+
+    Enough to keep every worker busy twice over; the inline executor
+    uses the observe loop's default of 4.
+    """
+    return max(4, 2 * max(width, 1))
 
 
 def resolve_executor_mode(
@@ -158,30 +156,15 @@ def resolve_executor_mode(
     return "process"
 
 
-def _reduce_chunk(op: GetNextRandomized, weights: np.ndarray):
-    """Worker body: one chunk's rows, byte-packed and pre-reduced.
-
-    Returns the packed ``np.unique`` arrays as-is —
-    :meth:`~repro.engine.kernel.RankingTally.observe_packed` consumes
-    array keys directly, so no per-key Python list is built here.  The
-    reduction runs on the operator's kernel backend
-    (:meth:`~GetNextRandomized.reduce_for_weights`); the jitted backend
-    releases the GIL for the whole selection, so threads win extra
-    speedup beyond the BLAS sections.
-    """
-    return op.reduce_for_weights(weights)
-
-
 def parallel_observe(
     op,
     n_new: int,
     *,
     executor: Executor | None = None,
     max_workers: int | None = None,
-    min_items: int = PARALLEL_MIN_ITEMS,
     force: bool = False,
 ) -> int:
-    """Grow ``op``'s sample pool by ``n_new``, sharding across workers.
+    """Grow ``op``'s sample pool by ``n_new``, sharding across threads.
 
     Parameters
     ----------
@@ -201,11 +184,9 @@ def parallel_observe(
         keeping one warm pool must not pay chunk submission for every
         tiny top-up.
     max_workers:
-        Pool width for the transient pool (default:
-        :func:`default_workers`).  ``max_workers <= 1`` forces the
-        serial fallback.
-    min_items:
-        Auto-threshold override on the effective item count.
+        Pool width (default: :func:`default_workers`): the size of the
+        transient pool, and the width deadline groups are sized for.
+        ``max_workers <= 1`` forces the serial fallback.
     force:
         Run the sharded path unconditionally (tests pinning the
         sharded code path on tiny fixtures; requires an ``executor``
@@ -226,52 +207,27 @@ def parallel_observe(
     if n_new <= 0:
         return 0
     op.prepare_observe(n_new)
-    sizes = op.plan_chunks(n_new)
+    n_chunks = len(op.plan_chunks(n_new))
     workers = max_workers if max_workers is not None else default_workers()
     if not force:
         # A caller-owned executor has already sized its pool; judge only
         # the pass (items x chunks), not the worker count.
         effective_workers = 2 if executor is not None else workers
-        if not should_parallelize(
-            op.dataset.n_items, len(sizes), effective_workers, min_items=min_items
-        ):
+        if not should_parallelize(op.dataset.n_items, n_chunks, effective_workers):
             op.observe(n_new)
             return 0
-    # Sampling consumes the operator's stream serially in plan order —
-    # identical to the serial path's (rng for "mc", the quasi stream's
-    # running Halton index for "qmc").
-    traced = obs_trace.tracing_enabled()
-    clock = time.perf_counter
-    t0 = clock() if traced else 0.0
-    weight_chunks = [op.sample_weights(batch) for batch in sizes]
-    if traced:
-        obs_trace.record("observe.sample", clock() - t0,
-                         count=len(sizes), n=n_new)
-    own_pool: ThreadPoolExecutor | None = None
-    pool = executor
-    if pool is None:
-        own_pool = ThreadPoolExecutor(
-            max_workers=min(max(workers, 1), len(sizes)),
-            thread_name_prefix="repro-observe",
+    with ExitStack() as stack:
+        if executor is None:
+            executor = stack.enter_context(ThreadPoolExecutor(
+                max_workers=min(max(workers, 1), n_chunks),
+                thread_name_prefix="repro-observe",
+            ))
+        op.observe(
+            n_new,
+            reduce_many=partial(executor.map, op.reduce_for_weights),
+            group=pool_group(workers),
         )
-        pool = own_pool
-    try:
-        t1 = clock() if traced else 0.0
-        futures = [pool.submit(_reduce_chunk, op, w) for w in weight_chunks]
-        if traced:
-            obs_trace.record("observe.submit", clock() - t1, count=len(futures))
-        t2 = clock() if traced else 0.0
-        for future in futures:  # plan order — NOT completion order
-            keys, freqs, n_rows = future.result()
-            op.tally.observe_packed(keys, freqs, n_rows)
-        if traced:
-            # Wait-and-fold: worker reductions overlap this loop, so it
-            # covers the whole reduce+fold tail of the pass.
-            obs_trace.record("observe.fold", clock() - t2, count=len(futures))
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown(wait=True)
-    return len(sizes)
+    return n_chunks
 
 
 class ObserveExecutor:
@@ -376,19 +332,8 @@ class ObserveExecutor:
         raw = getattr(op, "raw", op)
         if n_new <= 0:
             return "serial"
-        # Lazy import: resilience lives above the service tier, and a
-        # module-level import here would re-enter the
-        # registry -> session -> parallel import cycle.
-        from repro.server.resilience import current_deadline
-
-        deadline = current_deadline()
         with obs_trace.span("observe.pass", n=n_new) as pass_span:
-            if deadline is None:
-                mode, n_chunks = self._observe_one(raw, n_new)
-            else:
-                mode, n_chunks = self._observe_cooperative(
-                    raw, n_new, deadline
-                )
+            mode, n_chunks = self._observe_one(raw, n_new)
             pass_span.set(executor=mode, chunks=n_chunks,
                           kernel=raw.kernel_backend.name)
         self.last_pass = {
@@ -399,59 +344,23 @@ class ObserveExecutor:
         }
         return mode
 
-    def _observe_cooperative(self, raw, n_new: int, deadline) -> tuple[str, int]:
-        """One observe pass with deadline checks between chunk groups.
-
-        Byte-identity with the uninterrupted pass is load-bearing:
-        ``prepare_observe`` runs once with the *full* ``n_new`` (so
-        candidate pruning and chunk auto-tuning see exactly what a
-        serial pass would), and the sub-passes follow the full pass's
-        ``plan_chunks`` decomposition group by group — each sub-pass
-        re-plans to the identical chunk slice, so the weight stream and
-        fold order match sample for sample.  A deadline expiry between
-        groups raises :class:`DeadlineExceededError` with every
-        completed group already folded into the pool — a retry resumes
-        warm from there.
-        """
-        deadline.check("before the observe pass started")
-        # Fix candidate pruning and chunk tuning against the full pass
-        # size before grouping; the per-group prepare calls below are
-        # idempotent no-ops after this.
-        raw.prepare_observe(n_new)
-        sizes = raw.plan_chunks(n_new)
-        group = max(4, 2 * max(self.workers, 1))
-        if len(sizes) <= group:
-            return self._observe_one(raw, n_new)
-        mode, drawn = "serial", 0
-        for start in range(0, len(sizes), group):
-            if start:
-                deadline.check(
-                    f"observe pass cancelled after {drawn} of {n_new} "
-                    "samples (completed samples stay pooled)"
-                )
-            sub_n = sum(sizes[start:start + group])
-            mode, _ = self._observe_one(raw, sub_n)
-            drawn += sub_n
-        return mode, len(sizes)
-
     def _observe_one(self, raw, n_new: int) -> tuple[str, int]:
+        """Pick the pass's ``reduce_many`` map and run the observe loop."""
         if self.mode == "serial":
             raw.observe(n_new)
             return "serial", 0
         raw.prepare_observe(n_new)
         n_chunks = len(raw.plan_chunks(n_new))
         mode = self.resolve(raw, n_chunks)
-        if mode == "serial" or self.workers < 1 or n_chunks < 1:
+        if mode == "serial" or self.workers < 1:
             raw.observe(n_new)
             return "serial", n_chunks
-        forced = self.mode != "auto"
         if mode == "process":
-            self._processes(raw.dataset).observe(raw, n_new, force=forced)
-            return "process", n_chunks
-        sharded = parallel_observe(
-            raw, n_new, executor=self._threads(), force=forced
-        )
-        return ("thread" if sharded else "serial"), n_chunks
+            reduce_many = self._processes(raw.dataset).reduce_many(raw)
+        else:
+            reduce_many = partial(self._threads().map, raw.reduce_for_weights)
+        raw.observe(n_new, reduce_many=reduce_many, group=pool_group(self.workers))
+        return mode, n_chunks
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

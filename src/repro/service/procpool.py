@@ -14,15 +14,13 @@ threads.  This module moves the pure chunk reduction *out of process*:
 - a persistent :class:`~concurrent.futures.ProcessPoolExecutor` keeps
   workers alive across observe passes, so a serving session pays the
   fork/spawn latency once;
-- exact serial equivalence is preserved exactly as the thread pool
-  preserves it: the pruning-index build and chunk plan run first
-  (:meth:`~repro.core.randomized.GetNextRandomized.prepare_observe` /
-  ``plan_chunks``), weight sampling stays on the caller's thread in
-  plan order (identical rng stream), workers run only the pure
-  reduction, and mini-tallies fold back **in plan order** via
-  :meth:`~repro.engine.kernel.RankingTally.observe_packed` — counts,
-  totals, and first-seen tie-breaks match the serial tally
-  byte-for-byte.
+- the engine only supplies the observe loop's ``reduce_many`` map
+  (:meth:`ProcessObserveEngine.reduce_many`): the loop in
+  :meth:`~repro.core.randomized.GetNextRandomized.observe` still draws
+  weights on the caller's thread and folds results in plan order, so
+  counts, totals, first-seen tie-breaks and the rng stream match the
+  serial tally byte-for-byte, and the trace stages are the serial
+  pass's ``observe.*``.
 
 Crash safety: a worker that dies mid-pass breaks the pool, not the
 tally — the owner still holds every sampled weight block, so the
@@ -48,7 +46,6 @@ import atexit
 import logging
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 
@@ -57,7 +54,6 @@ import numpy as np
 from repro.core.randomized import GetNextRandomized
 from repro.engine import kernels
 from repro.obs import log_event
-from repro.obs import tracing as obs_trace
 
 __all__ = [
     "START_METHOD_ENV_VAR",
@@ -248,11 +244,6 @@ def _proc_reduce_many(spec: dict, weight_blocks: list):
     return [_proc_reduce(spec, weights) for weights in weight_blocks]
 
 
-def _reduce_in_process(op: GetNextRandomized, weights: np.ndarray):
-    """The same reduction on the owner (broken-pool rescue path)."""
-    return op.reduce_for_weights(weights)
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -381,25 +372,22 @@ class ProcessObserveEngine:
         return spec
 
     # -- the observe pass ----------------------------------------------
-    def observe(
-        self,
-        op,
-        n_new: int,
-        *,
-        force: bool = False,
-        min_items: int | None = None,
-    ) -> int:
-        """Grow ``op``'s pool by ``n_new`` on the worker processes.
+    def reduce_many(self, op):
+        """The observe loop's ``reduce_many`` map, run on the workers.
 
-        Returns the number of chunks reduced out-of-process (``0`` when
-        the serial fallback ran).  The resulting tally is byte-identical
-        to the serial path's in every case — including a worker crash
-        mid-pass, which falls back to in-process reduction for the
-        remaining chunks (the sampled weights are still in hand) and
-        rebuilds the pool lazily.
+        The returned callable takes weight blocks in plan order and
+        yields their reductions in the same order.  Several chunks ride
+        in one task: the auto-tuned chunk shrinks as n grows (bounded
+        score-matrix footprint), so a big pass at n >= 100K is hundreds
+        of tiny chunks, and one executor round-trip each would
+        dominate.  Each chunk is still reduced separately, so the fold
+        boundaries stay the serial pass's.
+
+        A worker that dies mid-pass breaks the pool, not the tally: the
+        weights are still in hand, so the remaining chunks reduce
+        in-process (same bytes), a ``worker.rescue`` event is logged,
+        and the pool is rebuilt lazily on the next pass.
         """
-        from repro.service.parallel import PARALLEL_MIN_ITEMS, should_parallelize
-
         if self._closed:
             raise RuntimeError("ProcessObserveEngine is closed")
         op = getattr(op, "raw", op)
@@ -413,77 +401,63 @@ class ProcessObserveEngine:
                 "operator dataset does not match this engine's shared "
                 "segments; build one engine per dataset"
             )
+
+        def run(blocks):
+            blocks = list(blocks)
+            spec = self._spec_for(op)
+            size = max(1, -(-len(blocks) // (4 * self.max_workers)))
+            groups = [blocks[i:i + size] for i in range(0, len(blocks), size)]
+            futures = []
+            try:
+                pool = self._ensure_pool()
+                for group in groups:
+                    futures.append(pool.submit(_proc_reduce_many, spec, group))
+            except Exception:
+                pass  # reduce what was not submitted in-process
+            rescued = 0
+            for i, group in enumerate(groups):
+                results = None
+                if not rescued and i < len(futures):
+                    try:
+                        results = futures[i].result()
+                    except Exception:
+                        pass
+                if results is None:
+                    results = [op.reduce_for_weights(w) for w in group]
+                    rescued += len(group)
+                yield from results
+            if rescued:
+                log_event(
+                    "worker.rescue",
+                    level=logging.WARNING,
+                    rescued_chunks=rescued,
+                    total_chunks=len(blocks),
+                    workers=self.max_workers,
+                )
+                self._reset_pool()
+
+        return run
+
+    def observe(self, op, n_new: int, *, force: bool = False) -> int:
+        """Grow ``op``'s pool by ``n_new`` on the worker processes.
+
+        Returns the number of chunks reduced out-of-process (``0`` when
+        the serial fallback ran).  The resulting tally is byte-identical
+        to the serial path's in every case, a worker crash included
+        (see :meth:`reduce_many`).
+        """
+        from repro.service.parallel import pool_group, should_parallelize
+
+        reduce_many = self.reduce_many(op)
+        op = getattr(op, "raw", op)
         if n_new <= 0:
             return 0
         op.prepare_observe(n_new)
-        sizes = op.plan_chunks(n_new)
-        floor = PARALLEL_MIN_ITEMS if min_items is None else min_items
+        n_chunks = len(op.plan_chunks(n_new))
         if not force and not should_parallelize(
-            op.dataset.n_items, len(sizes), self.max_workers + 1, min_items=floor
+            op.dataset.n_items, n_chunks, self.max_workers + 1
         ):
             op.observe(n_new)
             return 0
-        # Serial stream draws in plan order: the stream matches the
-        # serial path's exactly (same contract as the thread-pool
-        # observer), for both the rng and the quasi-MC stream.
-        traced = obs_trace.tracing_enabled()
-        clock = time.perf_counter
-        t0 = clock() if traced else 0.0
-        weight_chunks = [op.sample_weights(batch) for batch in sizes]
-        if traced:
-            obs_trace.record("observe.sample", clock() - t0,
-                             count=len(sizes), n=n_new)
-        spec = self._spec_for(op)
-        # Group several chunks per task: the auto-tuned chunk shrinks as
-        # n grows (bounded score-matrix footprint), so a big pass at
-        # n >= 100K is hundreds of tiny chunks — one executor round-trip
-        # each would dominate.  Grouping amortises submit/IPC while the
-        # per-chunk reduction (and fold order) stays untouched.
-        group_size = max(1, -(-len(weight_chunks) // (4 * self.max_workers)))
-        groups = [
-            weight_chunks[i : i + group_size]
-            for i in range(0, len(weight_chunks), group_size)
-        ]
-        broken = False
-        rescued_chunks = 0
-        futures = []
-        t1 = clock() if traced else 0.0
-        try:
-            pool = self._ensure_pool()
-            for group in groups:
-                futures.append(pool.submit(_proc_reduce_many, spec, group))
-        except Exception:
-            broken = True
-        if traced:
-            obs_trace.record("procpool.submit", clock() - t1,
-                             count=len(futures), groups=len(groups))
-        t2 = clock() if traced else 0.0
-        for i, group in enumerate(groups):
-            results = None
-            if not broken and i < len(futures):
-                try:
-                    results = futures[i].result()
-                except Exception:
-                    broken = True
-            if results is None:
-                # Worker (or pool) died mid-pass: the weights are still
-                # in hand, so the remaining chunks reduce in-process and
-                # the tally stays byte-identical.
-                results = [_reduce_in_process(op, w) for w in group]
-                rescued_chunks += len(group)
-            for keys, freqs, n_rows in results:
-                op.tally.observe_packed(keys, freqs, n_rows)
-        if traced:
-            # Wait-and-fold: worker reductions overlap this loop, so it
-            # covers the whole out-of-process reduce+fold tail.
-            obs_trace.record("procpool.fold", clock() - t2, count=len(groups))
-        if broken:
-            log_event(
-                "worker.rescue",
-                level=logging.WARNING,
-                rescued_chunks=rescued_chunks,
-                total_chunks=len(sizes),
-                workers=self.max_workers,
-            )
-            self._reset_pool()
-        return len(sizes)
+        op.observe(n_new, reduce_many=reduce_many, group=pool_group(self.max_workers))
+        return n_chunks

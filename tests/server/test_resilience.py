@@ -46,6 +46,8 @@ from repro.server.resilience import (
     parse_size,
     reset_breakers,
 )
+from repro.service import parallel
+from repro.service.procpool import live_segments
 from server_testlib import make_dataset, running_server
 
 COLD_QUERY = {
@@ -155,6 +157,17 @@ class _TripAfter:
         return 1.0 if self.calls < self.allowed else -1.0
 
 
+def _pool_bytes(session):
+    """The one randomized pool's tally, first-seen order and rng state."""
+    [state] = session._states.values()
+    raw = state.engine.backend.raw
+    return (
+        raw.tally.counts,
+        list(raw.tally._first_seen),
+        raw.rng.bit_generator.state,
+    )
+
+
 class TestCooperativeCancellation:
     # 8192-sample chunks: 48k -> 6 chunks, two groups of 4 at one
     # worker — the second group is gated on a deadline check.
@@ -194,6 +207,50 @@ class TestCooperativeCancellation:
         ] == [
             (r.stability, tuple(sorted(r.top_k_set))) for r in baseline
         ]
+
+    def test_serial_groups_do_not_depend_on_host_width(self, monkeypatch):
+        # Inline passes check the deadline every 4 chunks whatever the
+        # host's width: even where a pool would be 7 workers wide, the
+        # 6-chunk serial pass stops mid-pass.
+        monkeypatch.setattr(parallel, "default_workers", lambda: 7)
+        session = StabilitySession(make_dataset(150), seed=7, parallel=False)
+        with session:
+            trip = _TripAfter(1)
+            with deadline_scope(trip):
+                with pytest.raises(DeadlineExceededError, match="stay pooled"):
+                    self._query(session)
+            [config] = session.stats()["configs"].values()
+            assert 0 < config["total_samples"] < self.BUDGET
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_cancel_and_resume_on_pooled_executors(self, executor):
+        # One worker: deadline groups of max(4, 2 x 1) = 4 chunks, the
+        # same split as the serial case above.
+        dataset = make_dataset(150)
+        with StabilitySession(dataset, seed=7, parallel=False) as session:
+            baseline = self._query(session)
+            baseline_pool = _pool_bytes(session)
+
+        session = StabilitySession(
+            dataset, seed=7, executor=executor, max_workers=1
+        )
+        with session:
+            trip = _TripAfter(1)
+            with deadline_scope(trip):
+                with pytest.raises(DeadlineExceededError, match="stay pooled"):
+                    self._query(session)
+            [config] = session.stats()["configs"].values()
+            assert 0 < config["total_samples"] < self.BUDGET
+            resumed = self._query(session)
+            assert session.observer.last_pass["executor"] == executor
+            resumed_pool = _pool_bytes(session)
+        assert [
+            (r.stability, tuple(sorted(r.top_k_set))) for r in resumed
+        ] == [
+            (r.stability, tuple(sorted(r.top_k_set))) for r in baseline
+        ]
+        assert resumed_pool == baseline_pool
+        assert live_segments() == ()
 
     def test_small_pass_skips_grouping(self):
         session = StabilitySession(make_dataset(40), seed=7, parallel=False)
