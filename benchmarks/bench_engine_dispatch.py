@@ -2,7 +2,7 @@
 
 Acceptance benchmark for the unified ``StabilityEngine``: at
 ``n = 10_000`` the engine's observe path — fused-key sorting /
-partial selection, strict k-skyband pruning, byte-packed tallies —
+exact top-k selection, strict k-skyband pruning, byte-packed tallies —
 must beat the seed's per-sample loop (tuple-keyed ``Counter`` and a
 per-row Python reduction) by **at least 5×** on the top-k workload the
 paper runs at this scale (Figure 16: ranked top-10), with the

@@ -6,17 +6,24 @@ Two claims back ``repro.engine.kernels`` + the precision machinery:
    chunk reduction (score block -> per-row exact top-k -> pack ->
    ``np.unique``) at **>= 3x** the numpy reference at
    ``n >= 100_000`` items, because the jitted selection streams each
-   row once in parallel instead of paying the fused-key sort.  The
-   floor arms only where numba is importable (the numpy fallback is
-   the *reference*, not a regression); parity — identical packed keys,
-   counts, and row totals — is asserted on every host where both
-   backends run.
+   row once in parallel, while the reference streams it twice (block
+   maxima, then the candidate compare) before ordering the
+   candidates.  The floor arms only where numba is importable (the
+   numpy fallback is the *reference*, not a regression); parity —
+   identical packed keys, counts, and row totals — is asserted on
+   every host where both backends run.
 2. **Quasi-MC sample savings** — randomised Halton points reach a fixed
    empirical RMS error on a known cap-volume target with **<= 0.5x**
    the samples plain MC needs (extending
    ``bench_ablation_quasi_mc.py``'s fixed-budget comparison to a
    samples-to-precision ladder — the quantity the ``"ci:..."`` budget
    controller actually spends).
+
+Every run also times the numpy reference's ``topk_rows`` on one
+score chunk of each serving shape — the dense ``cold_topk`` chunk
+(n=10K, 209 rows, k=10) and the pruned ``mixed_rw`` band (n=604,
+k=6) — and fails if any row differs from the scalar
+``_top_k_order``, so the smoke run guards exactness as well as speed.
 
 Every run — smoke or full, with or without numba — emits a
 machine-readable ``BENCH_kernel.json`` so the perf trajectory is
@@ -34,6 +41,7 @@ import time
 
 import numpy as np
 
+from repro.core.ranking import _top_k_order
 from repro.engine import kernel, kernels
 from repro.geometry.spherical import cap_area
 from repro.sampling.cap import sample_cap
@@ -54,6 +62,12 @@ QMC_LADDER_SMOKE = (125, 250, 500, 1_000)
 QMC_REPLICATIONS = 16
 QMC_DIM = 3
 QMC_THETA = 0.3
+#: (n_items, k) of the per-chunk ``topk_rows`` timings: the dense
+#: cold_topk chunk and the pruned mixed_rw band.  Rows per chunk come
+#: from ``auto_chunk_size`` (209 and 3472).
+TOPK_SHAPES = ((10_000, 10), (604, 6))
+TOPK_REPEATS = 15
+TOPK_REPEATS_SMOKE = 5
 SEED = 20180905
 JSON_PATH = "BENCH_kernel.json"
 
@@ -121,6 +135,38 @@ def _reduction_benchmark(n_items: int, n_chunks: int) -> dict:
         "numba_seconds": numba_seconds,
         "speedup": speedup,
     }
+
+
+def _topk_chunk_benchmark(repeats: int) -> list[dict]:
+    """Median per-chunk ``topk_rows`` time on the numpy reference, plus
+    the number of rows (either form) that differ from ``_top_k_order``."""
+    rng = np.random.default_rng(SEED + 2)
+    results = []
+    for n_items, k in TOPK_SHAPES:
+        rows = kernel.auto_chunk_size(n_items)
+        values = rng.uniform(0.05, 1.0, size=(n_items, 4))
+        weights = np.abs(rng.standard_normal((rows, 4))) + 1e-9
+        scores = kernel.score_block(values, weights)
+        ranked = kernel.topk_rows(scores, k, ranked=True)
+        as_set = kernel.topk_rows(scores, k, ranked=False)
+        mismatches = 0
+        for i in range(rows):
+            expected = _top_k_order(scores[i], k)
+            mismatches += list(ranked[i]) != expected
+            mismatches += list(as_set[i]) != sorted(expected)
+        seconds = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            kernel.topk_rows(scores, k, ranked=False)
+            seconds.append(time.perf_counter() - start)
+        results.append({
+            "n_items": n_items,
+            "rows": rows,
+            "k": k,
+            "median_ms": float(np.median(seconds)) * 1000,
+            "mismatches": int(mismatches),
+        })
+    return results
 
 
 def _qmc_truth() -> float:
@@ -192,6 +238,7 @@ def run(*, smoke: bool = False, verbose: bool = True) -> dict:
     n_items = N_ITEMS_SMOKE if smoke else N_ITEMS
     n_chunks = N_CHUNKS_SMOKE if smoke else N_CHUNKS
     reduction = _reduction_benchmark(n_items, n_chunks)
+    topk_chunks = _topk_chunk_benchmark(TOPK_REPEATS_SMOKE if smoke else TOPK_REPEATS)
     qmc = _qmc_benchmark(smoke)
     speed_armed = not smoke and reduction["numba_available"]
     qmc_armed = not smoke and qmc["measured"]
@@ -200,6 +247,7 @@ def run(*, smoke: bool = False, verbose: bool = True) -> dict:
         "stages": _stage_breakdown(n_items, n_chunks),
         "kernels": kernels.available_kernels(),
         "reduction": reduction,
+        "topk_chunks": topk_chunks,
         "qmc": qmc,
         "tallies_byte_identical": True,
         "floors": [
@@ -239,6 +287,12 @@ def run(*, smoke: bool = False, verbose: bool = True) -> dict:
                 f"  numpy {reduction['numpy_seconds'] * 1000:8.1f} ms   "
                 "numba not installed: speedup reported as 0, floor not armed"
             )
+        for chunk in topk_chunks:
+            print(
+                f"  numpy topk_rows n={chunk['n_items']} rows={chunk['rows']} "
+                f"k={chunk['k']}: {chunk['median_ms']:6.2f} ms/chunk, "
+                f"{chunk['mismatches']} rows differ from _top_k_order"
+            )
         print(
             f"  samples to rmse<={qmc['target_rmse']}: "
             f"mc {qmc['mc_samples_to_width']}   "
@@ -251,12 +305,19 @@ def run(*, smoke: bool = False, verbose: bool = True) -> dict:
 
 
 def check_floors(metrics: dict) -> list[str]:
-    """Armed floors that failed (empty == pass)."""
-    return [
+    """Armed floors that failed, then inexact top-k chunks (empty == pass)."""
+    failed = [
         f"{floor['name']}: {floor['value']:.3f} vs floor {floor['floor']}"
         for floor in metrics["floors"]
         if floor["asserted"] and not floor["passed"]
     ]
+    failed += [
+        f"topk_rows n={chunk['n_items']} k={chunk['k']}: "
+        f"{chunk['mismatches']} rows differ from _top_k_order"
+        for chunk in metrics["topk_chunks"]
+        if chunk["mismatches"]
+    ]
+    return failed
 
 
 def test_reduction_parity_and_structure():
@@ -279,6 +340,12 @@ def test_smoke_metrics_structure():
     }
     assert all(not floor["asserted"] for floor in metrics["floors"])
     assert check_floors(metrics) == []
+
+
+def test_topk_chunks_exact():
+    chunks = _topk_chunk_benchmark(1)
+    assert [(c["n_items"], c["k"]) for c in chunks] == list(TOPK_SHAPES)
+    assert all(c["mismatches"] == 0 and c["median_ms"] > 0 for c in chunks)
 
 
 def test_qmc_needs_fewer_samples_than_mc():

@@ -10,7 +10,7 @@ region/ranking correspondence.
 
 The sampling hot path runs entirely on the vectorized kernel of
 :mod:`repro.engine.kernel`: one BLAS scoring product per block, bulk
-``argsort``/``argpartition`` key extraction, byte-packed count keys,
+full-ranking and top-k key extraction, byte-packed count keys,
 and a heap-backed "best unreturned" query.
 
 Two stopping rules are provided, matching Algorithms 7 and 8:

@@ -18,9 +18,10 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.ranking import Ranking, _top_k_order
+from repro.core.ranking import Ranking
 from repro.core.region import FullSpace, RegionOfInterest
 from repro.core.stability import StabilityResult
+from repro.engine import kernel
 from repro.errors import InvalidRankingError
 from repro.sampling.montecarlo import confidence_error
 
@@ -75,11 +76,11 @@ def verify_topk_set_stability(
         raise InvalidRankingError("set contains out-of-range item identifiers")
     roi = region if region is not None else FullSpace(dataset.n_attributes)
     generator = rng if rng is not None else np.random.default_rng()
+    expected = np.array(sorted(target))
     hits = 0
     for scores in _sample_scores(dataset, roi, n_samples, generator):
-        for row in scores:
-            if frozenset(_top_k_order(row, k)) == target:
-                hits += 1
+        rows = kernel.topk_rows(scores, k, ranked=False)
+        hits += int(np.all(rows == expected, axis=1).sum())
     stability = hits / n_samples
     return StabilityResult(
         ranking=Ranking(sorted(target), n_items=dataset.n_items),
@@ -116,11 +117,11 @@ def verify_topk_ranking_stability(
         raise InvalidRankingError("prefix contains out-of-range item identifiers")
     roi = region if region is not None else FullSpace(dataset.n_attributes)
     generator = rng if rng is not None else np.random.default_rng()
+    expected = np.array(target)
     hits = 0
     for scores in _sample_scores(dataset, roi, n_samples, generator):
-        for row in scores:
-            if tuple(_top_k_order(row, k)) == target:
-                hits += 1
+        rows = kernel.topk_rows(scores, k, ranked=True)
+        hits += int(np.all(rows == expected, axis=1).sum())
     stability = hits / n_samples
     return StabilityResult(
         ranking=Ranking(target, n_items=dataset.n_items),

@@ -13,8 +13,9 @@ This module replaces all of it with batch-level numpy:
   friendly regardless of ``n``;
 - :func:`score_block` — the ``(batch, d) @ (d, n)`` scoring product;
 - :func:`full_ranking_rows` / :func:`topk_rows` — reduce a block of
-  score rows to ranking keys in bulk (``argsort`` for complete
-  rankings, ``argpartition`` + deterministic tie repair for top-k);
+  score rows to ranking keys in bulk (a fused-key value sort for
+  complete rankings; an exact float64 threshold-then-order selection
+  for top-k);
 - :func:`pack_rows` / :func:`unpack_key` — compact byte-packed keys
   (one ``bytes`` object per ranking, minimal-width integer dtype)
   replacing Python tuples and frozensets as hash keys;
@@ -26,11 +27,10 @@ This module replaces all of it with batch-level numpy:
 from __future__ import annotations
 
 import heapq
+import math
 import os
 
 import numpy as np
-
-from repro.core.ranking import _top_k_order
 
 __all__ = [
     "auto_chunk_size",
@@ -44,12 +44,22 @@ __all__ = [
     "RankingTally",
 ]
 
-# Target transient footprint of one score block (bytes).  64 KiB rows at
-# n = 10_000 give ~200-row batches: big enough to amortise the per-batch
-# Python overhead, small enough to stay in L2/L3.
+# Target transient footprint of one score block (bytes): 16 MiB.  Rows
+# at n = 10_000 are 80 KB, giving ~200-row batches — big enough to
+# amortise the per-batch Python overhead.  The value also fixes the
+# chunk plan, and with it the tally's first-seen order.
 _TARGET_BLOCK_BYTES = 16 * 1024 * 1024
 _MIN_CHUNK = 16
 _MAX_CHUNK = 8192
+
+# Shortest strided block for which :func:`topk_rows` bounds a row's k-th
+# score from block maxima; shorter blocks take the exact partition.
+_MIN_BLOCK_LEN = 8
+
+# Mean candidates per row, in multiples of k, beyond which
+# :func:`topk_rows` drops surplus ties at the threshold before ordering.
+# Without ties a row holds about k candidates; an all-equal row, all n.
+_TIE_FLOOD = 4
 
 #: Environment override pinning the scoring chunk to a fixed row count.
 #: The auto-tuned size is already a pure function of ``n``, but pinning
@@ -187,53 +197,96 @@ def full_ranking_rows(scores: np.ndarray) -> np.ndarray:
     return rows
 
 
-def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
-    """Top-k key rows for a block of score rows, in ``O(batch * n)``.
+def _topk_threshold(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per-row lower bound ``t`` on each row's k-th largest score.
 
-    A fused-key partial selection: ``np.partition`` (value partition,
-    no index payload) pulls each row's ``k + 1`` smallest descending
-    keys, the ``k`` winners are ordered by one tiny sort, and ids drop
-    out of the key low bits.  Exact score ties — within the top-k and
-    at the selection boundary — break by ascending identifier directly
-    in key order, matching
-    :func:`~repro.core.ranking._top_k_order`; rows with a truncated-
-    prefix collision among the ``k + 1`` head keys are repaired with
-    that exact scalar routine.
+    Long rows take the k-th largest of ``B >= k`` strided block maxima
+    (``B`` about ``sqrt(n * k)``, item ``j`` in block ``j % B``), which
+    costs one streaming ``max`` pass: the k best blocks each hold a
+    distinct item ``>= t``, so at least k items clear it.  Without ties
+    at ``t`` only those k blocks contribute, bounding the candidates by
+    ``k`` blocks' worth of items.  Rows whose blocks would be shorter
+    than :data:`_MIN_BLOCK_LEN` take the exact ``np.partition`` value.
+    """
+    batch, n = scores.shape
+    n_blocks = max(k, math.isqrt(n * k))
+    length = n // n_blocks
+    if length < _MIN_BLOCK_LEN:
+        return np.partition(scores, n - k, axis=1)[:, n - k]
+    body = length * n_blocks
+    maxima = scores[:, :body].reshape(batch, length, n_blocks).max(axis=1)
+    # Fold the ragged tail into the leading blocks, so every item
+    # belongs to one block and sorted rows get the exact bound.
+    tail = scores[:, body:]
+    head = maxima[:, : tail.shape[1]]
+    np.maximum(head, tail, out=head)
+    return np.partition(maxima, n_blocks - k, axis=1)[:, n_blocks - k]
+
+
+def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
+    """Top-k key rows for a block of score rows.
+
+    An exact threshold-then-order selection, all in float64, that
+    streams the block twice and sorts only the candidates:
+
+    1. :func:`_topk_threshold` bounds each row's k-th largest score
+       from below;
+    2. one compare and one ``flatnonzero`` collect the candidates
+       ``scores >= t`` — a superset of every row's top-k, boundary
+       ties included.  When ties at ``t`` flood them (all-equal rows
+       make every item a candidate), each row keeps only its items
+       above ``t`` and its first k candidates, the only ones that can
+       win;
+    3. the candidates are ordered by (score desc, id asc) and the first
+       k of each row kept.  When every row has exactly k candidates
+       that is one stable sort of a dense ``(batch, k)`` block;
+       otherwise the ragged candidates are ranked by exact value and
+       sorted by (row, rank) with ids ascending inside each tie.
+
+    Exact score ties — within the top-k and at the selection boundary —
+    therefore break by ascending identifier, matching
+    :func:`~repro.core.ranking._top_k_order` row for row.
 
     Returns ``(batch, k)`` identifier rows: rank order when ``ranked``,
     ascending-id canonical set form otherwise.
     """
-    scores = np.atleast_2d(scores)
-    n = scores.shape[1]
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    batch, n = scores.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    keys, id_bits = _descending_keys(scores)
-    low_mask = np.uint64((1 << id_bits) - 1)
-    if k + 1 >= n:
-        keys.sort(axis=1)
-        head = keys
-    else:
-        # kth=k pins the exact (k+1)-th smallest at position k with the
-        # k winners (unordered) before it — one introselect pass.
-        head = np.partition(keys, k, axis=1)[:, : k + 1]
-        head.sort(axis=1)
-    rows = (head[:, :k] & low_mask).astype(np.intp)
-    if ranked is False:
-        out = np.sort(rows, axis=1)
-    else:
-        out = rows
-    # Any shared truncated prefix among the k+1 head keys is repaired
-    # with the exact scalar routine: unlike the full sort, the head is a
-    # *window* — a prefix run can extend past it and hide an item whose
-    # score differs only in the truncated bits (so equal head scores
-    # certify nothing), and a run touching the boundary decides
-    # membership.  Exact ties stay correct either way; genuinely tied
-    # data just falls back to the seed-speed path for those rows.
-    check = head[:, : min(k + 1, n)]
-    collided = (check[:, 1:] ^ check[:, :-1]) <= low_mask
-    for i in np.flatnonzero(collided.any(axis=1)):
-        exact = _top_k_order(scores[i], k)
-        out[i] = exact if ranked else sorted(exact)
+    t = _topk_threshold(scores, k)
+    # Row-major flat positions: rows ascend, and ids ascend within a row.
+    flat = np.flatnonzero(scores >= t[:, None])
+    rows = flat // n
+    if flat.shape[0] > _TIE_FLOOD * batch * k:
+        # Ties at t flood the candidates.  Only items above t and each
+        # row's first k candidates can win: with k items above t none at
+        # t can, and with fewer the lowest ids at t fill the gap.
+        first = np.searchsorted(rows, np.arange(batch))
+        keep = (scores.take(flat) > t[rows]) | (
+            np.arange(flat.shape[0]) < first[rows] + k
+        )
+        flat, rows = flat[keep], rows[keep]
+    cols = flat - rows * n
+    neg = -scores.take(flat)
+    # Every row holds at least k candidates, so batch * k in all means
+    # exactly k each.
+    if rows.shape[0] == batch * k:
+        out = cols.reshape(batch, k)
+        if ranked:
+            order = np.argsort(neg.reshape(batch, k), axis=1, kind="stable")
+            out = np.take_along_axis(out, order, axis=1)
+        return out
+    # Ragged: a dense rank of the exact values turns (row, score desc)
+    # into one integer key; the stable sort keeps ids ascending in ties.
+    # The key stays below batch**2 * n, far inside int64 for any score
+    # block that fits in memory.
+    _, rank = np.unique(neg, return_inverse=True)
+    order = np.argsort(rows * rows.shape[0] + rank, kind="stable")
+    first = np.searchsorted(rows, np.arange(batch))
+    out = cols[order[first[:, None] + np.arange(k)]]
+    if not ranked:
+        out.sort(axis=1)
     return out
 
 

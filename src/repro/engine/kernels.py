@@ -7,7 +7,8 @@ byte-pack the keys, and ``np.unique`` them into a mergeable mini-tally.
 This module makes the *reduction* stage pluggable:
 
 - :class:`KernelBackend` (``"numpy"``) — the reference implementation,
-  delegating to the fused-key routines of :mod:`repro.engine.kernel`;
+  delegating to :mod:`repro.engine.kernel` (threshold-then-order top-k,
+  fused-key full rankings);
 - :class:`NumbaKernel` (``"numba"``) — a jitted per-row exact top-k
   selection (``nogil``, ``parallel``), compiled lazily on first use and
   falling back to the reference automatically when numba is absent.
@@ -131,9 +132,10 @@ class NumbaKernel(KernelBackend):
     """Jitted top-k selection: one exact pass per score row.
 
     The selection keeps the ``k`` best ``(score desc, id asc)`` items in
-    an insertion-sorted window while streaming each row once — no key
-    fusion, no partition, no truncated-prefix repair, because the
-    comparisons are exact float64 from the start.  Scanning ids in
+    an insertion-sorted window while streaming each row once, where the
+    reference streams it twice (block maxima, then the candidate
+    compare) before ordering its candidates.  Both compare exact
+    float64 scores throughout.  Scanning ids in
     ascending order makes the tie-break free: an incoming item can never
     displace an equal-scored stored one (its id is larger), which is
     precisely the :func:`repro.core.ranking._top_k_order` convention.

@@ -21,7 +21,7 @@ __all__ = ["top_k_indices", "top_k_threshold"]
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, ordered by (score desc, id asc).
 
-    ``O(n)`` selection via the kernel's ``argpartition`` path with
+    ``O(n)`` selection via the kernel's threshold-then-order path with
     exact, deterministic handling of ties at the k-th score boundary
     (lowest identifiers win, matching the ranking convention of
     section 2.1.1).  Accepts a single score row or a ``(batch, n)``

@@ -8,11 +8,14 @@ import pytest
 from repro import (
     Cone,
     Dataset,
+    FullSpace,
     GetNextRandomized,
     ScoringFunction,
     verify_topk_ranking_stability,
     verify_topk_set_stability,
 )
+from repro.core.ranking import _top_k_order
+from repro.core.topk_stability import _sample_scores
 from repro.errors import InvalidRankingError
 
 
@@ -105,3 +108,53 @@ class TestVerifyTopkRanking:
         )
         assert res.confidence_error >= 0.0
         assert res.sample_count == round(res.stability * 2000)
+
+
+class TestBlockRankedHits:
+    """Block-ranked hit counts equal the per-row scalar loop's."""
+
+    @staticmethod
+    def _scores(ds, n_samples, seed):
+        return _sample_scores(
+            ds, FullSpace(ds.n_attributes), n_samples,
+            np.random.default_rng(seed),
+        )
+
+    def _first_sampled(self, ds, k, seed):
+        # The stream's own first top-k, so every target is hit at least once.
+        return _top_k_order(next(self._scores(ds, 1, seed))[0], k)
+
+    def _scalar_hits(self, ds, target, n_samples, seed, *, ranked):
+        hits = 0
+        for scores in self._scores(ds, n_samples, seed):
+            for row in scores:
+                order = _top_k_order(row, len(target))
+                hits += (tuple(order) if ranked else frozenset(order)) == target
+        return hits
+
+    @pytest.fixture
+    def tied(self):
+        # Few distinct attribute values: duplicate items tie exactly
+        # under every weight vector, inside the top-k and at its edge.
+        values = np.random.default_rng(61).integers(0, 4, size=(40, 3))
+        return Dataset(values.astype(float))
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_set_hits_match_scalar_loop(self, tied, k):
+        target = frozenset(self._first_sampled(tied, k, 62))
+        expected = self._scalar_hits(tied, target, 3000, 62, ranked=False)
+        res = verify_topk_set_stability(
+            tied, target, n_samples=3000, rng=np.random.default_rng(62)
+        )
+        assert expected > 0
+        assert res.sample_count == expected
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_ranked_hits_match_scalar_loop(self, tied, k):
+        target = tuple(self._first_sampled(tied, k, 63))
+        expected = self._scalar_hits(tied, target, 3000, 63, ranked=True)
+        res = verify_topk_ranking_stability(
+            tied, target, n_samples=3000, rng=np.random.default_rng(63)
+        )
+        assert expected > 0
+        assert res.sample_count == expected

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.ranking import _top_k_order
-from repro.engine import kernel
+from repro.engine import kernel, kernels
+
+AVAILABLE_KERNELS = [name for name, ok in kernels.available_kernels().items() if ok]
 
 
 class TestAutoChunkSize:
@@ -106,6 +108,102 @@ class TestTopkRows:
     def test_batch_topk_single_row(self, rng):
         scores = rng.uniform(size=40)
         assert list(kernel.batch_topk_indices(scores, 4)) == _top_k_order(scores, 4)
+
+
+def _grid_shapes():
+    """(n, k) pairs: k in {1, 3, 10, n-1, n} against n in {k, k+1, 2k,
+    64, 604, 9973, 10000}, the relative forms paired with the fixed n."""
+    fixed_n = (64, 604, 9973, 10_000)
+    shapes = {
+        (n, k)
+        for k in (1, 3, 10)
+        for n in (k, k + 1, 2 * k, *fixed_n)
+    }
+    shapes |= {(n, k) for n in fixed_n for k in (n - 1, n)}
+    return sorted(shapes)
+
+
+def _grid_scores(data: str, n: int, seed: int, batch: int = 4) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if data == "uniform":
+        return rng.uniform(size=(batch, n))
+    if data == "rounded":
+        # Heavy exact ties inside the top-k and across its boundary.
+        return np.round(rng.uniform(size=(batch, n)), 1)
+    if data == "sorted":
+        # Monotone rows, both directions: the top-k sit at adjacent ids
+        # at either end of the row.
+        rows = np.sort(rng.uniform(size=(batch, n)), axis=1)
+        rows[1::2] = rows[1::2, ::-1]
+        return rows
+    if data == "all_equal":
+        return np.full((batch, n), 0.25)
+    if data == "plateau":
+        # A tied floor with a few higher scores at random ids: the ties
+        # flood the candidates while the top-k mixes both.
+        scores = np.full((batch, n), 0.25)
+        for row in scores:
+            high = rng.choice(n, size=min(n, int(rng.integers(0, 6))), replace=False)
+            row[high] = np.round(rng.uniform(0.5, 1.0, size=high.shape[0]), 1)
+        return scores
+    if data == "signed_zero":
+        return rng.choice([-0.0, 0.0, 0.5, -0.5], size=(batch, n))
+    if data == "negative_inf":
+        scores = -np.round(rng.uniform(1.0, 2.0, size=(batch, n)), 2)
+        scores[rng.uniform(size=(batch, n)) < 0.05] = np.inf
+        scores[rng.uniform(size=(batch, n)) < 0.05] = -np.inf
+        return scores
+    raise AssertionError(data)
+
+
+def _assert_rows_match_scalar(backend: str, scores, k: int, ranked: bool):
+    kind = "topk_ranked" if ranked else "topk_set"
+    rows = kernels.get_kernel(backend).rank_rows(scores, kind=kind, k=k)
+    assert rows.shape == (scores.shape[0], k)
+    for i, row in enumerate(scores):
+        expected = _top_k_order(np.array(row), k)
+        assert list(rows[i]) == (expected if ranked else sorted(expected)), i
+
+
+GRID_DATA = [
+    "uniform", "rounded", "sorted", "all_equal", "plateau", "signed_zero",
+    "negative_inf",
+]
+
+
+class TestTopkDifferentialGrid:
+    """Every available backend's top-k equals the scalar routine row by row."""
+
+    @pytest.mark.parametrize("backend", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("data", GRID_DATA)
+    @pytest.mark.parametrize("ranked", [True, False])
+    @pytest.mark.parametrize("n,k", _grid_shapes())
+    def test_matches_scalar(self, backend, n, k, ranked, data):
+        scores = _grid_scores(data, n, seed=n * 31 + k)
+        _assert_rows_match_scalar(backend, scores, k, ranked)
+
+    @pytest.mark.parametrize("backend", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("data", GRID_DATA)
+    @pytest.mark.parametrize("n,k", [(64, 3), (604, 6), (10_000, 10)])
+    def test_out_buffer_row_slice(self, backend, n, k, data):
+        # The observe loop hands the kernel the leading rows of a reused
+        # oversized score buffer.
+        scores = _grid_scores(data, n, seed=n + k)
+        buf = np.full((scores.shape[0] + 3, n), np.nan)
+        buf[: scores.shape[0]] = scores
+        for ranked in (True, False):
+            _assert_rows_match_scalar(backend, buf[: scores.shape[0]], k, ranked)
+
+    @pytest.mark.parametrize("backend", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("data", GRID_DATA)
+    @pytest.mark.parametrize("n,k", [(64, 3), (604, 6), (10_000, 10)])
+    def test_non_contiguous_view(self, backend, n, k, data):
+        scores = _grid_scores(data, n, seed=n - k)
+        wide = np.full((scores.shape[0], 2 * n), np.nan)
+        wide[:, ::2] = scores
+        for view in (wide[:, ::2], np.asfortranarray(scores)):
+            for ranked in (True, False):
+                _assert_rows_match_scalar(backend, view, k, ranked)
 
 
 class TestPackedKeys:
