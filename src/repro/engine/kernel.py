@@ -52,15 +52,6 @@ _TARGET_BLOCK_BYTES = 16 * 1024 * 1024
 _MIN_CHUNK = 16
 _MAX_CHUNK = 8192
 
-# Shortest strided block for which :func:`topk_rows` bounds a row's k-th
-# score from block maxima; shorter blocks take the exact partition.
-_MIN_BLOCK_LEN = 8
-
-# Mean candidates per row, in multiples of k, beyond which
-# :func:`topk_rows` drops surplus ties at the threshold before ordering.
-# Without ties a row holds about k candidates; an all-equal row, all n.
-_TIE_FLOOD = 4
-
 #: Environment override pinning the scoring chunk to a fixed row count.
 #: The auto-tuned size is already a pure function of ``n``, but pinning
 #: it lets serial and shard-parallel observe passes (and runs on hosts
@@ -200,19 +191,17 @@ def full_ranking_rows(scores: np.ndarray) -> np.ndarray:
 def _topk_threshold(scores: np.ndarray, k: int) -> np.ndarray:
     """Per-row lower bound ``t`` on each row's k-th largest score.
 
-    Long rows take the k-th largest of ``B >= k`` strided block maxima
-    (``B`` about ``sqrt(n * k)``, item ``j`` in block ``j % B``), which
-    costs one streaming ``max`` pass: the k best blocks each hold a
-    distinct item ``>= t``, so at least k items clear it.  Without ties
-    at ``t`` only those k blocks contribute, bounding the candidates by
-    ``k`` blocks' worth of items.  Rows whose blocks would be shorter
-    than :data:`_MIN_BLOCK_LEN` take the exact ``np.partition`` value.
+    The k-th largest of ``B >= k`` strided block maxima (``B`` about
+    ``sqrt(n * k)``, item ``j`` in block ``j % B``), which costs one
+    streaming ``max`` pass: the k best blocks each hold a distinct item
+    ``>= t``, so at least k items clear it.  Without ties at ``t`` only
+    those k blocks contribute, bounding the candidates by k blocks'
+    worth of items.  The bound holds for any block length, down to one
+    item per block.
     """
     batch, n = scores.shape
     n_blocks = max(k, math.isqrt(n * k))
     length = n // n_blocks
-    if length < _MIN_BLOCK_LEN:
-        return np.partition(scores, n - k, axis=1)[:, n - k]
     body = length * n_blocks
     maxima = scores[:, :body].reshape(batch, length, n_blocks).max(axis=1)
     # Fold the ragged tail into the leading blocks, so every item
@@ -221,6 +210,12 @@ def _topk_threshold(scores: np.ndarray, k: int) -> np.ndarray:
     head = maxima[:, : tail.shape[1]]
     np.maximum(head, tail, out=head)
     return np.partition(maxima, n_blocks - k, axis=1)[:, n_blocks - k]
+
+
+def _row_positions(rows: np.ndarray, batch: int) -> np.ndarray:
+    """Position of each entry within its row, for ascending ``rows``."""
+    starts = np.searchsorted(rows, np.arange(batch))
+    return np.arange(rows.shape[0]) - starts[rows]
 
 
 def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
@@ -233,15 +228,14 @@ def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
        from below;
     2. one compare and one ``flatnonzero`` collect the candidates
        ``scores >= t`` — a superset of every row's top-k, boundary
-       ties included.  When ties at ``t`` flood them (all-equal rows
-       make every item a candidate), each row keeps only its items
-       above ``t`` and its first k candidates, the only ones that can
-       win;
-    3. the candidates are ordered by (score desc, id asc) and the first
-       k of each row kept.  When every row has exactly k candidates
-       that is one stable sort of a dense ``(batch, k)`` block;
-       otherwise the ragged candidates are ranked by exact value and
-       sorted by (row, rank) with ids ascending inside each tie.
+       ties included.  Each row then keeps only its items above ``t``
+       and its first k candidates, the only ones that can win, so ties
+       at ``t`` cannot flood the next step (in an all-equal row every
+       item is a candidate);
+    3. the candidates are laid out left-aligned in a ``(batch, width)``
+       block, padded on the right with entries that sort last, and one
+       stable per-row sort orders them by (score desc, id asc); the
+       first k of each row are kept.
 
     Exact score ties — within the top-k and at the selection boundary —
     therefore break by ascending identifier, matching
@@ -258,33 +252,23 @@ def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
     # Row-major flat positions: rows ascend, and ids ascend within a row.
     flat = np.flatnonzero(scores >= t[:, None])
     rows = flat // n
-    if flat.shape[0] > _TIE_FLOOD * batch * k:
-        # Ties at t flood the candidates.  Only items above t and each
-        # row's first k candidates can win: with k items above t none at
-        # t can, and with fewer the lowest ids at t fill the gap.
-        first = np.searchsorted(rows, np.arange(batch))
-        keep = (scores.take(flat) > t[rows]) | (
-            np.arange(flat.shape[0]) < first[rows] + k
-        )
-        flat, rows = flat[keep], rows[keep]
-    cols = flat - rows * n
-    neg = -scores.take(flat)
-    # Every row holds at least k candidates, so batch * k in all means
-    # exactly k each.
-    if rows.shape[0] == batch * k:
-        out = cols.reshape(batch, k)
-        if ranked:
-            order = np.argsort(neg.reshape(batch, k), axis=1, kind="stable")
-            out = np.take_along_axis(out, order, axis=1)
-        return out
-    # Ragged: a dense rank of the exact values turns (row, score desc)
-    # into one integer key; the stable sort keeps ids ascending in ties.
-    # The key stays below batch**2 * n, far inside int64 for any score
-    # block that fits in memory.
-    _, rank = np.unique(neg, return_inverse=True)
-    order = np.argsort(rows * rows.shape[0] + rank, kind="stable")
-    first = np.searchsorted(rows, np.arange(batch))
-    out = cols[order[first[:, None] + np.arange(k)]]
+    vals = scores.take(flat)
+    # With k items above t none at t can win; with fewer, the lowest
+    # ids at t fill the gap, and those are the row's first candidates.
+    keep = (vals > t[rows]) | (_row_positions(rows, batch) < k)
+    flat, rows, vals = flat[keep], rows[keep], vals[keep]
+    # Pads sort after every real candidate: their +inf ties only a -inf
+    # score, which precedes them, and each row holds at least k real
+    # candidates.  The stable sort keeps ids ascending within a tie.
+    pos = _row_positions(rows, batch)
+    width = int(pos.max(initial=k - 1)) + 1
+    at = rows * width + pos
+    neg = np.full(batch * width, np.inf)
+    neg[at] = -vals
+    ids = np.zeros(batch * width, dtype=np.intp)
+    ids[at] = flat - rows * n
+    order = np.argsort(neg.reshape(batch, width), axis=1, kind="stable")
+    out = np.take_along_axis(ids.reshape(batch, width), order[:, :k], axis=1)
     if not ranked:
         out.sort(axis=1)
     return out

@@ -98,6 +98,19 @@ class TestTopkRows:
         for i in range(10):
             assert list(rows[i]) == _top_k_order(scores[i], 7)
 
+    def test_negative_infinity_ranks_before_padding(self):
+        # Row 1 keeps three candidates, so rows 0 and 2 are padded to
+        # its width; their -inf scores must still rank ahead of the pads.
+        scores = np.array([
+            [-np.inf] * 8,
+            [0.9, 0.1, 0.1, 0.1, 0.95, 0.1, 0.1, 0.1],
+            [-np.inf, 3.0] + [-np.inf] * 6,
+        ])
+        for ranked in (True, False):
+            rows = kernel.topk_rows(scores, 2, ranked=ranked)
+            for row, expected in zip(rows, ([0, 1], [4, 0], [1, 0])):
+                assert list(row) == (expected if ranked else sorted(expected))
+
     def test_k_bounds(self, rng):
         scores = rng.uniform(size=(2, 5))
         with pytest.raises(ValueError):
