@@ -83,11 +83,14 @@ def _chunk_workload(n_items: int, n_chunks: int):
     return values, chunks
 
 
-def _time_reduction(backend, values, chunks) -> tuple[float, list]:
-    """Seconds for one full pass over ``chunks``; returns mini-tallies."""
+def _time_reduction(backend, values, chunks) -> tuple[float, float, list]:
+    """Wall and process-CPU seconds for one full pass over ``chunks``;
+    returns mini-tallies.  CPU time counts every thread of the process,
+    so a BLAS worker spinning beside the selection shows there."""
     dtype = kernel.key_dtype_for(values.shape[0])
     out = np.empty((CHUNK, values.shape[0]))
     results = []
+    cpu = time.process_time()
     start = time.perf_counter()
     for weights in chunks:
         results.append(
@@ -95,7 +98,7 @@ def _time_reduction(backend, values, chunks) -> tuple[float, list]:
                 values, weights, kind="topk_set", k=K, key_dtype=dtype, out=out
             )
         )
-    return time.perf_counter() - start, results
+    return time.perf_counter() - start, time.process_time() - cpu, results
 
 
 def _assert_chunk_parity(a: list, b: list) -> None:
@@ -110,9 +113,12 @@ def _reduction_benchmark(n_items: int, n_chunks: int) -> dict:
     """numpy vs numba on identical chunks; byte parity where both run."""
     values, chunks = _chunk_workload(n_items, n_chunks)
     numpy_backend = kernels.get_kernel("numpy")
-    # Untimed warm-up pass (BLAS thread spin-up, page faults).
-    _, reference = _time_reduction(numpy_backend, values, chunks)
-    numpy_seconds, reference = _time_reduction(numpy_backend, values, chunks)
+    # Untimed warm-up pass (page faults; the first product pins
+    # numpy's OpenBLAS to the calling thread).
+    _, _, reference = _time_reduction(numpy_backend, values, chunks)
+    numpy_seconds, numpy_cpu, reference = _time_reduction(
+        numpy_backend, values, chunks
+    )
 
     numba_available = kernels.available_kernels().get("numba", False)
     numba_seconds = 0.0
@@ -120,9 +126,9 @@ def _reduction_benchmark(n_items: int, n_chunks: int) -> dict:
     if numba_available:
         numba_backend = kernels.get_kernel("numba")
         # First call compiles; time the steady state.
-        _, jitted = _time_reduction(numba_backend, values, chunks)
+        _, _, jitted = _time_reduction(numba_backend, values, chunks)
         _assert_chunk_parity(reference, jitted)
-        numba_seconds, jitted = _time_reduction(numba_backend, values, chunks)
+        numba_seconds, _, jitted = _time_reduction(numba_backend, values, chunks)
         _assert_chunk_parity(reference, jitted)
         speedup = numpy_seconds / numba_seconds if numba_seconds > 0 else 0.0
     return {
@@ -131,6 +137,8 @@ def _reduction_benchmark(n_items: int, n_chunks: int) -> dict:
         "chunk": CHUNK,
         "chunks": n_chunks,
         "numpy_seconds": numpy_seconds,
+        "numpy_ms_per_chunk": numpy_seconds / n_chunks * 1000,
+        "numpy_cpu_ms_per_chunk": numpy_cpu / n_chunks * 1000,
         "numba_available": numba_available,
         "numba_seconds": numba_seconds,
         "speedup": speedup,
@@ -275,6 +283,10 @@ def run(*, smoke: bool = False, verbose: bool = True) -> dict:
             f"  [{metrics['mode']}] reduction n={n_items} k={K} "
             f"chunk={CHUNK}x{n_chunks}"
         )
+        print(
+            f"  numpy per chunk: {reduction['numpy_ms_per_chunk']:6.2f} ms wall, "
+            f"{reduction['numpy_cpu_ms_per_chunk']:6.2f} ms cpu"
+        )
         if reduction["numba_available"]:
             print(
                 f"  numpy {reduction['numpy_seconds'] * 1000:8.1f} ms   "
@@ -323,6 +335,7 @@ def check_floors(metrics: dict) -> list[str]:
 def test_reduction_parity_and_structure():
     reduction = _reduction_benchmark(N_ITEMS_SMOKE, 2)
     assert reduction["numpy_seconds"] > 0
+    assert reduction["numpy_cpu_ms_per_chunk"] >= 0
     if reduction["numba_available"]:
         assert reduction["speedup"] > 0
 

@@ -11,7 +11,8 @@ This module replaces all of it with batch-level numpy:
 - :func:`auto_chunk_size` — pick the number of sampled functions scored
   per BLAS call so the transient score matrix stays cache/memory
   friendly regardless of ``n``;
-- :func:`score_block` — the ``(batch, d) @ (d, n)`` scoring product;
+- :func:`score_block` — the ``(batch, d) @ (d, n)`` scoring product,
+  run on the calling thread (:func:`blas_info` reports the BLAS);
 - :func:`full_ranking_rows` / :func:`topk_rows` — reduce a block of
   score rows to ranking keys in bulk (a fused-key value sort for
   complete rankings; an exact float64 threshold-then-order selection
@@ -26,15 +27,19 @@ This module replaces all of it with batch-level numpy:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
 import math
 import os
+import sys
 
 import numpy as np
 
 __all__ = [
     "auto_chunk_size",
     "score_block",
+    "blas_info",
     "full_ranking_rows",
     "topk_rows",
     "batch_topk_indices",
@@ -70,11 +75,13 @@ def auto_chunk_size(
 ) -> int:
     """Rows of sampled functions per scoring block, auto-tuned to ``n``.
 
-    Bounds the transient ``(chunk, n)`` float64 score matrix (and the
-    same-shaped argsort workspace) near ``target_bytes``, clamped to
-    ``[lo, hi]``.  ``scale`` is the active kernel backend's chunk
+    Bounds the transient ``(chunk, n)`` float64 score matrix near
+    ``target_bytes``, clamped to ``[lo, hi]``; the reference reduction
+    adds one same-shaped temporary per block (the boolean candidate
+    mask of a top-k selection, the ``uint64`` key block of a full
+    ranking).  ``scale`` is the active kernel backend's chunk
     multiplier (:attr:`repro.engine.kernels.KernelBackend.chunk_scale`):
-    a compiled reduction streams each row once with no sort workspace,
+    a compiled reduction streams each row once with no such temporary,
     so it tolerates proportionally larger blocks (the clamp ceiling
     scales with it).  Deterministic: the result depends only on ``n``
     and the explicit arguments, so two operators over the same dataset
@@ -101,6 +108,65 @@ def auto_chunk_size(
     )
 
 
+@functools.cache
+def _numpy_openblas():
+    """``(set_num_threads, get_num_threads, get_config)`` of numpy's OpenBLAS.
+
+    Looked up on the handle of numpy's own ``_multiarray_umath``
+    extension, which searches the extension and the libraries it links:
+    this finds the copy numpy loaded (under ``numpy.libs``/``.dylibs``,
+    or a system ``libopenblas``), never scipy's separate ``scipy.libs``
+    copy.  ``None`` when numpy's BLAS is not OpenBLAS.
+    """
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+        "numpy.core._multiarray_umath"
+    )
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    # numpy >= 2 wheels, numpy 1.x wheels (64-bit integers), system builds.
+    for symbol in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        try:
+            set_threads, get_threads, get_config = (
+                getattr(lib, symbol.format(name))
+                for name in ("set_num_threads", "get_num_threads", "get_config")
+            )
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        return set_threads, get_threads, get_config
+    return None
+
+
+@functools.cache
+def _pin_blas() -> None:
+    """Run numpy's OpenBLAS on the calling thread, once per process."""
+    blas = _numpy_openblas()
+    if blas is not None:
+        set_threads, _, _ = blas
+        set_threads(1)
+
+
+def blas_info() -> dict | None:
+    """``{"library", "threads"}`` of numpy's OpenBLAS, or ``None``.
+
+    ``library`` is OpenBLAS's build string (version and the CPU kernel
+    it dispatched to); ``threads`` its current thread count, which is 1
+    in any process that has called :func:`score_block`.
+    """
+    blas = _numpy_openblas()
+    if blas is None:
+        return None
+    _, get_threads, get_config = blas
+    return {
+        "library": " ".join(get_config().decode().split()),
+        "threads": int(get_threads()),
+    }
+
+
 def score_block(
     values: np.ndarray, weights: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -112,7 +178,17 @@ def score_block(
     buffer; the leading ``batch`` rows are written in place and returned,
     so one observe pass can reuse a single buffer across all its chunks
     instead of allocating a fresh score matrix per BLAS call.
+
+    The first call in a process pins numpy's OpenBLAS to one thread
+    (process-wide, so it also covers the host application's own numpy
+    products).  The executors of :mod:`repro.service.parallel` are the
+    only parallelism layer: a BLAS worker thread would otherwise spin
+    between the short products and burn a core, and a threaded GEMM
+    partitions the product by the host's core count, which can move a
+    score by one ulp.  Fork workers inherit the pin; spawned workers
+    pin on their first product.
     """
+    _pin_blas()
     v = np.ascontiguousarray(values, dtype=np.float64)
     w = np.ascontiguousarray(np.atleast_2d(weights), dtype=np.float64)
     if out is not None:

@@ -17,9 +17,14 @@ Byte identity is a hard contract, not an aspiration: the scoring GEMM
 is shared by every backend (a re-derived dot product could differ in
 the last ulp and flip a near-tie), and the jitted selection uses the
 same exact comparisons — descending score, ties by ascending item id —
-as :func:`repro.core.ranking._top_k_order`.  Backends therefore produce
-identical packed tallies (keys, counts, first-seen order) for any chunk
-plan, and never touch the rng stream.
+as :func:`repro.core.ranking._top_k_order`.  The shared GEMM is also
+single-threaded (:func:`repro.engine.kernel.score_block` pins numpy's
+OpenBLAS to the calling thread): a threaded GEMM splits the product by
+the host's core count, and at some shapes (n=604 pruned bands) the
+split moves a few scores by one ulp, so tallies would depend on the
+host.  Backends therefore produce identical packed tallies (keys,
+counts, first-seen order) for any chunk plan and any host core count,
+and never touch the rng stream.
 
 Selection precedence: an explicit name (the ``--kernel`` CLI flag or a
 ``kernel=`` argument) beats the ``REPRO_KERNEL`` environment variable,

@@ -3,10 +3,14 @@
 An observe pass is embarrassingly parallel across scoring chunks: each
 chunk's BLAS product, ranking-key reduction and byte-pack is
 independent, and numpy releases the GIL inside all three, so a thread
-pool scales the pass across cores without pickling the dataset; a
-*process* pool (:mod:`repro.service.procpool`) goes further, moving the
-whole reduction — including the GIL-bound byte-pack/unique tail — out
-of the serving process over zero-copy shared-memory views.
+pool scales the pass across cores without pickling the dataset.  The
+executors are the only parallelism layer: each product runs on the
+thread that reduces its chunk (:func:`repro.engine.kernel.score_block`
+pins numpy's OpenBLAS to one thread), so no BLAS worker competes with
+the pool's threads or spins between products.  A *process* pool
+(:mod:`repro.service.procpool`) goes further, moving the whole
+reduction — including the GIL-bound byte-pack/unique tail — out of the
+serving process over zero-copy shared-memory views.
 
 Every executor runs the same loop,
 :meth:`GetNextRandomized.observe <repro.core.randomized.GetNextRandomized.observe>`,

@@ -2,9 +2,11 @@
 
 The thread pool of :mod:`repro.service.parallel` only wins inside
 GIL-releasing numpy sections; the byte-pack / ``np.unique`` / dict-fold
-tail of every chunk reduction still serializes on the GIL, and on hosts
-with many cores the BLAS product itself contends with the serving
-threads.  This module moves the pure chunk reduction *out of process*:
+tail of every chunk reduction still serializes on the GIL, and every
+chunk's BLAS product runs on a thread of the serving process (numpy's
+OpenBLAS is pinned to the calling thread, see
+:func:`repro.engine.kernel.score_block`).  This module moves the pure
+chunk reduction *out of process*:
 
 - the scored dataset (and, when top-k pruning is installed, the
   candidate matrix and its identifier map) is placed in

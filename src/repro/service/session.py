@@ -54,6 +54,7 @@ from repro.core.region import FullSpace, RegionOfInterest
 from repro.core.stability import StabilityResult
 from repro.engine.backends import DEFAULT_BUDGET, resolve_backend
 from repro.engine.engine import StabilityEngine
+from repro.engine.kernel import blas_info
 from repro.errors import ExhaustedError
 from repro.obs import log_event
 from repro.obs import tracing as obs_trace
@@ -869,7 +870,12 @@ class StabilitySession:
 
     def stats(self) -> dict:
         """Serving statistics: cache counters, per-config pool state,
-        cost-attribution totals, executor/kernel identity, and uptime."""
+        cost-attribution totals, executor/kernel/BLAS identity, and uptime.
+
+        ``blas`` is :func:`repro.engine.kernel.blas_info` — numpy's
+        OpenBLAS build and thread count, ``None`` when numpy's BLAS is
+        not OpenBLAS — so an answer can be traced to the BLAS that
+        scored it."""
         pools = {}
         for (kind, k, backend), state in self._states.items():
             label = f"{kind}" + (f":k={k}" if k is not None else "") + f"@{backend}"
@@ -908,6 +914,7 @@ class StabilitySession:
             "executor": self._observer.mode,
             "executor_workers": self._observer.workers,
             "kernel": self.kernel if self.kernel is not None else "auto",
+            "blas": blas_info(),
             "sampling": self.sampling,
             "pool_bytes": self.pool_bytes(),
             "cache_bytes": self.cache.approx_bytes(),

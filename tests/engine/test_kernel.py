@@ -1,5 +1,11 @@
 """Unit tests for the vectorized ranking kernel."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +39,57 @@ class TestScoreBlock:
         w = rng.uniform(size=2)
         out = kernel.score_block(values, w)
         assert out.shape == (1, 10)
+
+    def test_scores_on_the_calling_thread(self, rng):
+        kernel.score_block(rng.uniform(size=(10, 2)), rng.uniform(size=2))
+        info = kernel.blas_info()
+        assert info is None or info["threads"] == 1
+
+
+#: Digests of the pruned-band scores (n=604, 3472 rows, d=4) and of the
+#: tally of one pruned-path observe pass; prints one JSON line.
+_HOST_DIGESTS = """
+import hashlib, json
+import numpy as np
+from repro import Dataset
+from repro.core.randomized import GetNextRandomized
+from repro.core.region import FullSpace
+from repro.engine import kernel
+
+rng = np.random.default_rng(604)
+scores = kernel.score_block(rng.uniform(size=(604, 4)), FullSpace(4).sample(3472, rng))
+op = GetNextRandomized(Dataset(rng.uniform(size=(10_000, 4))), kind="topk_set",
+                       k=6, rng=rng, prune_topk=True)
+op.observe(4_000)
+state = op.tally.export_state()
+print(json.dumps({
+    "scores": hashlib.sha256(scores.tobytes()).hexdigest(),
+    "tally": hashlib.sha256(state["keys"] + state["counts"].tobytes()).hexdigest(),
+    "pruned": op._candidates is not None,
+}))
+"""
+
+
+@pytest.mark.skipif(kernel.blas_info() is None, reason="numpy's BLAS is not OpenBLAS")
+class TestHostIndependentScores:
+    def test_score_bytes_ignore_openblas_thread_count(self):
+        # A threaded GEMM splits the product by core count and moves a
+        # few pruned-band scores by one ulp; scoring on the calling
+        # thread makes the bytes (and tallies) the same on every host.
+        src = Path(__file__).resolve().parents[2] / "src"
+        digests = []
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", _HOST_DIGESTS],
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.append(json.loads(out.stdout))
+        assert digests[0]["pruned"]
+        assert digests[0] == digests[1]
 
 
 class TestFullRankingRows:

@@ -20,6 +20,7 @@ import pytest
 
 from repro import Dataset, StabilitySession, parallel_observe
 from repro.core.randomized import GetNextRandomized
+from repro.engine import kernel
 from repro.service.parallel import (
     EXECUTOR_ENV_VAR,
     ObserveExecutor,
@@ -28,6 +29,7 @@ from repro.service.parallel import (
 from repro.service.procpool import (
     ProcessObserveEngine,
     SharedArray,
+    _proc_reduce,
     default_start_method,
     live_segments,
 )
@@ -244,6 +246,50 @@ class TestObserveExecutor:
         # Full rankings at large n have wide keys -> thread, not process.
         assert resolve_executor_mode(60_000, 4, 4, key_bytes=16) == "process"
         assert resolve_executor_mode(60_000, 4, 4, key_bytes=240_000) == "thread"
+
+
+def _blas_threads_around_reduce(spec, weights):
+    """Worker probe: BLAS threads before and after one chunk reduction."""
+    before = kernel.blas_info()["threads"]
+    _proc_reduce(spec, weights)
+    return before, kernel.blas_info()["threads"]
+
+
+@pytest.mark.skipif(kernel.blas_info() is None, reason="numpy's BLAS is not OpenBLAS")
+class TestSingleThreadedBlas:
+    """The executors are the only parallelism layer: wherever a chunk is
+    scored, numpy's OpenBLAS runs on the calling thread."""
+
+    def test_thread_executor_threads(self):
+        dataset = _dataset(40, n=3_000)
+        op = _op(dataset, 40, kind="topk_set", k=4)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            assert executor.observe(op, 500) == "thread"
+            reports = list(executor._threads().map(
+                lambda _: kernel.blas_info()["threads"], range(8)
+            ))
+        assert reports == [1] * 8
+
+    def test_process_workers(self):
+        dataset = _dataset(41, n=3_000)
+        op = _op(dataset, 41, kind="topk_set", k=4)
+        # The owner scores before its pool starts, so fork workers
+        # inherit the pin; spawn and forkserver workers pin on their
+        # first product.
+        kernel.score_block(dataset.values, op.sample_weights(1))
+        with ProcessObserveEngine(dataset, max_workers=2) as engine:
+            assert engine.observe(op, 500, force=True) > 0
+            spec = engine._spec_for(op)
+            pool = engine._ensure_pool()
+            futures = [
+                pool.submit(_blas_threads_around_reduce, spec, op.sample_weights(64))
+                for _ in range(8)
+            ]
+            reports = [future.result() for future in futures]
+            start_method = engine.start_method
+        assert [after for _, after in reports] == [1] * 8
+        if start_method == "fork":
+            assert [before for before, _ in reports] == [1] * 8
 
 
 class TestSessionIntegration:

@@ -200,9 +200,11 @@ class TestValidation:
         stats = session.stats()
         assert set(stats) == {
             "fingerprint", "uptime_seconds", "cache", "cache_session",
-            "cost", "executor", "executor_workers", "kernel", "sampling",
-            "pool_bytes", "cache_bytes", "configs", "skyband_bands",
+            "cost", "executor", "executor_workers", "kernel", "blas",
+            "sampling", "pool_bytes", "cache_bytes", "configs", "skyband_bands",
         }
+        # The query scored, so numpy's OpenBLAS (if any) is pinned.
+        assert stats["blas"] is None or stats["blas"]["threads"] == 1
         (label,) = stats["configs"]
         assert label == "topk_set:k=4@randomized"
 
