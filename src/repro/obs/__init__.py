@@ -7,17 +7,21 @@ Small modules, threaded through every layer of the stack:
   test when no trace is open).
 - :mod:`repro.obs.logs` — structured event logging (JSON lines behind
   ``--log-json``), spawn-safe for procpool workers.
-- :mod:`repro.obs.metrics` — a generalized counter/gauge registry with
-  Prometheus rendering; ``server/metrics.py`` is a client.
+- :mod:`repro.obs.metrics` — the one metrics model: labeled counter,
+  gauge and histogram families rendered as the Prometheus exposition
+  and as JSON-safe values; ``server/metrics.py`` records into it.
 - :mod:`repro.obs.flight` — bounded flight-recorder rings (events,
   traces, slow queries, metrics snapshots) dumped as JSON diag
   bundles on failure, ``SIGUSR2``, or the ``diag`` wire op.
 - :mod:`repro.obs.profile` — stdlib sampling profiler producing
   collapsed stacks for flamegraphs, start/stoppable over the wire.
-- :mod:`repro.obs.slo` — per-dataset latency/error objectives with
-  burn-rate computation over the server's latency histograms.
+- :mod:`repro.obs.slo` — per-dataset latency/error objectives: burn
+  rates over the registry's per-dataset families, exported as labeled
+  gauges on the same registry.
 - :mod:`repro.obs.promlint` — exposition-format linter used by tests
   and CI's metrics scrape.
+
+The bottom tier: ``repro.obs`` imports no other ``repro`` package.
 """
 
 from repro.obs import flight, profile

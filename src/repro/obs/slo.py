@@ -2,10 +2,10 @@
 
 An operator states objectives once — ``--slo "p99:50ms,err:0.1%"`` —
 and the tracker continuously scores each served dataset against them
-using the per-dataset latency histograms and error counters that
-:class:`repro.server.metrics.ServerMetrics` already maintains.  No
-second measurement pipeline: the SLO engine is a pure *view* over
-counters the hot path was already paying for.
+using a per-dataset latency histogram family and error counter family
+(the ones :class:`repro.server.metrics.ServerMetrics` records into).
+No second measurement pipeline: the SLO engine is a pure *view* over
+families the hot path was already paying for.
 
 The headline number per objective is the **burn rate**: the observed
 violation fraction divided by the objective's allowance.  Burn 1.0
@@ -19,10 +19,9 @@ landed in a bucket whose upper bound is <= the target, so a target
 that falls inside a bucket counts the whole bucket as violating.
 
 Surfaces: the ``stats`` protocol op (``"slo"`` section), the
-Prometheus exposition (``repro_slo_*`` families, labeled per dataset
-and objective — rendered here because the generic
-:class:`~repro.obs.metrics.MetricsRegistry` gauges are label-less),
-and diag bundles.
+Prometheus exposition (``repro_slo_*`` families: labeled callback
+gauges on the same :class:`~repro.obs.metrics.MetricsRegistry`, per
+dataset and objective), and diag bundles.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
+
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = ["SloSpec", "SloTracker", "parse_slo"]
 
@@ -123,32 +124,21 @@ def parse_slo(spec: str) -> SloSpec:
     return SloSpec(latency=latency, error_rate=error_rate, source=text)
 
 
-def _within(bounds, buckets, target: float) -> int:
-    """Observations provably <= target (whole buckets only)."""
-    within = 0
-    for bound, n in zip(bounds, buckets):
-        if bound <= target:
-            within += n
-        else:
-            break
-    return within
-
-
 class SloTracker:
     """Scores per-dataset traffic against an :class:`SloSpec`.
 
-    ``view`` is a zero-argument callable returning the per-dataset
-    counters — :meth:`repro.server.metrics.ServerMetrics.dataset_view`
-    — kept as a callable so the tracker holds no lock of its own and
-    never calls back into a locked metrics object re-entrantly.
-    Datasets named via :meth:`watch` (the registry's catalogue) appear
-    in every snapshot even before their first request, so dashboards
-    and the CI promlint see the series immediately.
+    A pure view over two families labeled by ``dataset``: the query
+    latency histogram (its count is the request count) and the query
+    error counter.  Datasets named via :meth:`watch` (the server's
+    catalogue) appear in every snapshot even before their first
+    request, so dashboards and the CI promlint see the series
+    immediately.
     """
 
-    def __init__(self, spec: SloSpec, view):
+    def __init__(self, spec: SloSpec, latency: Histogram, errors: Counter):
         self.spec = spec
-        self._view = view
+        self._latency = latency
+        self._errors = errors
         self._known: set[str] = set()
         self._lock = threading.Lock()
 
@@ -158,19 +148,19 @@ class SloTracker:
             self._known.update(d for d in datasets if d)
 
     # ------------------------------------------------------------------
-    def _score(self, stats: dict) -> dict:
-        requests = stats.get("requests", 0)
-        errors = stats.get("errors", 0)
-        bounds = stats.get("bounds") or ()
-        buckets = stats.get("buckets") or ()
-        count = stats.get("count", 0)
+    def _score(self, hist, errors: int) -> dict:
+        requests = hist.count if hist is not None else 0
         out: dict = {"requests": requests, "errors": errors, "objectives": {}}
         compliant = True
         for label, (quantile, target) in self.spec.latency.items():
             allowed = 1.0 - quantile
-            if count:
-                violations = count - _within(bounds, buckets, target)
-                violation_rate = violations / count
+            if requests:
+                # Whole buckets only: observations provably <= target.
+                violations = requests - sum(
+                    n for bound, n in zip(hist.bounds, hist.buckets)
+                    if bound <= target
+                )
+                violation_rate = violations / requests
             else:
                 violations = 0
                 violation_rate = 0.0
@@ -203,12 +193,14 @@ class SloTracker:
 
     def snapshot(self) -> dict:
         """JSON-safe per-dataset scores for ``stats`` and diag bundles."""
-        per_dataset = self._view()
+        # Errors before latency: the recorder observes latency first,
+        # so errors never outnumber requests in one snapshot.
+        errors = self._errors.samples()
+        latency = self._latency.samples()
         with self._lock:
-            names = self._known | set(per_dataset)
-        empty = {"requests": 0, "errors": 0, "count": 0}
+            names = self._known | {key[0] for key in latency}
         datasets = {
-            name: self._score(per_dataset.get(name, empty))
+            name: self._score(latency.get((name,)), errors.get((name,), 0))
             for name in sorted(names)
         }
         return {
@@ -218,56 +210,39 @@ class SloTracker:
         }
 
     # ------------------------------------------------------------------
-    def render_text(self) -> str:
-        """Prometheus families: labeled burn rates, targets, compliance.
+    def register(self, registry: MetricsRegistry) -> None:
+        """Export the scores on ``registry`` as labeled ``repro_slo_*``
+        callback gauges (error rates only with an ``err`` objective)."""
 
-        Rendered here (not via :class:`MetricsRegistry`) because these
-        series carry ``dataset``/``objective`` labels that the generic
-        registry's scalar gauges cannot express.
-        """
-        snap = self.snapshot()
-        lines = [
-            "# HELP repro_slo_latency_target_seconds Configured latency objective.",
-            "# TYPE repro_slo_latency_target_seconds gauge",
-        ]
-        for label, (quantile, target) in sorted(self.spec.latency.items()):
-            lines.append(
-                f'repro_slo_latency_target_seconds{{objective="{label}"}} '
-                f"{target:g}"
-            )
-        lines.append(
-            "# HELP repro_slo_burn_rate Error-budget burn rate per dataset "
-            "and objective (1.0 = burning exactly at the allowance)."
-        )
-        lines.append("# TYPE repro_slo_burn_rate gauge")
-        for name, score in snap["datasets"].items():
-            for label, obj in sorted(score["objectives"].items()):
-                burn = obj["burn_rate"]
-                value = "+Inf" if burn == "inf" else f"{burn:g}"
-                lines.append(
-                    f'repro_slo_burn_rate{{dataset="{name}",'
-                    f'objective="{label}"}} {value}'
-                )
-        lines.append(
-            "# HELP repro_slo_compliant Whether the dataset currently "
-            "meets every objective (1 = yes)."
-        )
-        lines.append("# TYPE repro_slo_compliant gauge")
-        for name, score in snap["datasets"].items():
-            lines.append(
-                f'repro_slo_compliant{{dataset="{name}"}} '
-                f"{1 if score['compliant'] else 0}"
-            )
+        def scores():
+            return self.snapshot()["datasets"].items()
+
+        registry.register_gauge(
+            "repro_slo_latency_target_seconds",
+            lambda: {o: target for o, (_, target) in self.spec.latency.items()},
+            labels=("objective",), help="Configured latency objective.")
+        registry.register_gauge(
+            "repro_slo_burn_rate",
+            lambda: {
+                (name, o): float(obj["burn_rate"])  # "inf" -> +Inf
+                for name, score in scores()
+                for o, obj in score["objectives"].items()
+            },
+            labels=("dataset", "objective"),
+            help="Error-budget burn rate per dataset and objective "
+                 "(1.0 = burning exactly at the allowance).")
+        registry.register_gauge(
+            "repro_slo_compliant",
+            lambda: {name: score["compliant"] for name, score in scores()},
+            labels=("dataset",),
+            help="Whether the dataset currently meets every objective "
+                 "(1 = yes).")
+        registry.unregister("repro_slo_error_rate")
         if self.spec.error_rate is not None:
-            lines.append(
-                "# HELP repro_slo_error_rate Observed error fraction per dataset."
-            )
-            lines.append("# TYPE repro_slo_error_rate gauge")
-            for name, score in snap["datasets"].items():
-                obj = score["objectives"].get("err")
-                if obj is not None:
-                    lines.append(
-                        f'repro_slo_error_rate{{dataset="{name}"}} '
-                        f"{obj['observed_rate']:g}"
-                    )
-        return "\n".join(lines) + "\n"
+            registry.register_gauge(
+                "repro_slo_error_rate",
+                lambda: {
+                    name: score["objectives"]["err"]["observed_rate"]
+                    for name, score in scores()
+                },
+                labels=("dataset",), help="Observed error fraction per dataset.")

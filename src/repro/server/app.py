@@ -33,9 +33,9 @@ with restore-on-start this makes rolling restarts cheap: the next
 process answers its first query from the warm pools the last one saved.
 
 **Observability.** Every request lands in
-:class:`~repro.server.metrics.ServerMetrics` (counters + latency
-histograms), surfaced via the ``stats`` op and an optional plain-text
-HTTP ``--metrics`` endpoint.
+:class:`~repro.server.metrics.ServerMetrics` (counter and latency
+histogram families on one metrics registry), surfaced via the
+``stats`` op and an optional plain-text HTTP ``--metrics`` endpoint.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from repro.obs import flight as obs_flight
 from repro.server import protocol, resilience
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import SessionRegistry
+from repro.service.procpool import live_segments
 
 __all__ = ["ServerConfig", "StabilityServer", "ServerHandle", "serve_in_thread"]
 
@@ -253,13 +254,15 @@ class StabilityServer:
             from repro.obs.slo import SloTracker, parse_slo
 
             tracker = SloTracker(
-                parse_slo(self.config.slo), self.metrics.dataset_view
+                parse_slo(self.config.slo),
+                self.metrics.dataset_latency,
+                self.metrics.dataset_errors,
             )
             # Every catalogued dataset exports zeroed SLO series from
             # the first scrape, not from its first request.
             tracker.watch(*self.registry.names())
+            tracker.register(self.metrics.registry)
             self.slo_tracker = tracker
-            self.metrics.slo = tracker
         if self.config.flight:
             obs_flight.enable(
                 max_events=self.config.flight_max_events,
@@ -292,8 +295,8 @@ class StabilityServer:
 
         The closures snapshot the active-session map per read — gauge
         scrapes race session activation/eviction, and the registry
-        renders a ``nan`` sample for a gauge that throws rather than
-        failing the exposition.
+        leaves a gauge that throws out of the exposition and the
+        ``stats`` snapshot rather than failing either.
         """
         registry = self.registry
 
@@ -310,6 +313,7 @@ class StabilityServer:
 
         register_resource_gauges(
             self.metrics.registry,
+            shm_segments=lambda: len(live_segments()),
             pool_bytes=pool_bytes,
             cache_bytes=cache_bytes,
         )
@@ -329,8 +333,15 @@ class StabilityServer:
         holds a baseline, then every ``flight_metrics_interval``.
         """
         while True:
-            obs_flight.record_metrics(self.metrics.snapshot())
+            obs_flight.record_metrics(self._metrics_snapshot())
             await asyncio.sleep(self.config.flight_metrics_interval)
+
+    def _metrics_snapshot(self) -> dict:
+        """``ServerMetrics.snapshot`` plus the SLO scores under ``--slo``."""
+        doc = self.metrics.snapshot()
+        if self.slo_tracker is not None:
+            doc["slo"] = self.slo_tracker.snapshot()
+        return doc
 
     def dump_diag(self, reason: str) -> str | None:
         """Write a diag bundle to ``diag_dir``; returns its path.
@@ -340,7 +351,7 @@ class StabilityServer:
         """
         slo = self.slo_tracker.snapshot() if self.slo_tracker else None
         bundle = obs_flight.diag_bundle(
-            reason, metrics_snapshot=self.metrics.snapshot(), slo=slo
+            reason, metrics_snapshot=self._metrics_snapshot(), slo=slo
         )
         if bundle is None:
             return None
@@ -927,7 +938,7 @@ class StabilityServer:
             # and a metrics snapshot per request.
             return {
                 "server": {
-                    "metrics": self.metrics.snapshot(),
+                    "metrics": self._metrics_snapshot(),
                     "registry": self.registry.stats(),
                     "inflight": self._inflight,
                     "draining": self._draining,
@@ -987,7 +998,7 @@ class StabilityServer:
     def _diag_extra(self) -> dict:
         """The server's contribution to a wire ``diag`` bundle."""
         return {
-            "metrics": self.metrics.snapshot(),
+            "metrics": self._metrics_snapshot(),
             "slo": self.slo_tracker.snapshot() if self.slo_tracker else None,
         }
 

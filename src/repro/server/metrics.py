@@ -1,14 +1,13 @@
-"""Serving metrics: counters and latency histograms, no dependencies.
+"""Serving metrics: the server's families on the one metrics registry.
 
 The server records every request (op, latency, error code), connection
-lifecycle events, shed load, and checkpoints into one
-:class:`ServerMetrics` object.  Two read surfaces exist:
-
-- :meth:`ServerMetrics.snapshot` — a JSON-safe dict served by the
-  ``{"op": "stats"}`` protocol op;
-- :meth:`ServerMetrics.render_text` — a Prometheus-style text exposition
-  served by the optional ``--metrics-port`` HTTP endpoint, so a scrape
-  target needs nothing beyond the standard library.
+lifecycle events, shed load, and checkpoints through
+:class:`ServerMetrics`, whose counters and latency histograms are
+labeled families of a :class:`~repro.obs.metrics.MetricsRegistry`.
+That registry (which also holds the resource gauges, resilience
+counters and SLO views) renders both read surfaces:
+:meth:`ServerMetrics.snapshot` for the ``stats`` op and
+:meth:`ServerMetrics.render_text` for the ``--metrics-port`` endpoint.
 
 All methods are thread-safe: request handlers run on executor threads
 while the event loop reads snapshots concurrently.
@@ -18,97 +17,58 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["LatencyHistogram", "ServerMetrics"]
-
-#: Upper bucket bounds in seconds (log-spaced, 100 us .. 10 s); the
-#: final implicit bucket is +Inf.
-LATENCY_BOUNDS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with cumulative Prometheus counts."""
-
-    __slots__ = ("bounds", "buckets", "count", "sum")
-
-    def __init__(self, bounds: tuple[float, ...] = LATENCY_BOUNDS):
-        self.bounds = bounds
-        self.buckets = [0] * (len(bounds) + 1)  # last bucket is +Inf
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.buckets[bisect_left(self.bounds, seconds)] += 1
-        self.count += 1
-        self.sum += seconds
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the bucket holding it.
-
-        ``q=0`` returns the bound of the first non-empty bucket (not the
-        first bucket outright), ``q=1`` the bound of the last non-empty
-        one; observations past the final bound report ``+Inf``.
-        """
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.buckets):
-            if n == 0:
-                continue
-            seen += n
-            if seen >= rank:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum_seconds": round(self.sum, 6),
-            "mean_seconds": round(self.sum / self.count, 6) if self.count else 0.0,
-            "p50_seconds": self.quantile(0.50),
-            "p95_seconds": self.quantile(0.95),
-            "p99_seconds": self.quantile(0.99),
-        }
-
+__all__ = ["ServerMetrics"]
 
 class ServerMetrics:
-    """Counters + per-op latency histograms for one server process."""
+    """Recording methods over the server's registry families."""
 
     def __init__(self, registry: MetricsRegistry | None = None):
-        self._lock = threading.Lock()
-        #: Generalized gauge/counter registry; resource gauges (RSS, shm
-        #: segments, pool/cache bytes) are registered here by the app and
-        #: rendered alongside the server families.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = reg = registry if registry is not None else MetricsRegistry()
         self.started_at = time.time()
-        self.requests_total: dict[str, int] = {}
-        self.errors_total: dict[str, int] = {}
-        self.latency: dict[str, LatencyHistogram] = {}
-        # Per-dataset counters (query ops only) backing the SLO engine.
-        self.dataset_requests: dict[str, int] = {}
-        self.dataset_errors: dict[str, int] = {}
-        self.dataset_latency: dict[str, LatencyHistogram] = {}
-        #: Optional :class:`repro.obs.slo.SloTracker`; attached by the
-        #: app when ``--slo`` is configured.  Its snapshot/exposition
-        #: are computed *outside* ``_lock`` (the tracker reads back
-        #: through :meth:`dataset_view`, and ``_lock`` is non-reentrant).
-        self.slo = None
-        self.connections_opened = 0
+        self._lock = threading.Lock()
         self.connections_active = 0
-        self.busy_shed_total = 0
-        self.shutting_down_total = 0
-        self.checkpoints_total = 0
-        self.checkpoint_failures_total = 0
-        self.evictions_total = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
+        reg.register_gauge("repro_server_uptime_seconds",
+                           lambda: time.time() - self.started_at,
+                           help="Seconds since server start.")
+        reg.register_gauge("repro_server_connections_active",
+                           lambda: self.connections_active,
+                           help="Currently open client connections.")
+        self.connections_opened = reg.counter(
+            "repro_server_connections_opened_total",
+            help="Connections accepted since start.")
+        self.busy_shed = reg.counter(
+            "repro_server_busy_shed_total",
+            help="Requests shed under backpressure.")
+        self.shutting_down = reg.counter(
+            "repro_server_shutting_down_total",
+            help="Requests refused while the server drains.")
+        self.checkpoints = reg.counter(
+            "repro_server_checkpoints_total", help="Session checkpoints written.")
+        self.checkpoint_failures = reg.counter(
+            "repro_server_checkpoint_failures_total",
+            help="Session checkpoints that failed.")
+        self.evictions = reg.counter(
+            "repro_server_evictions_total", help="Idle sessions evicted.")
+        self.bytes = reg.counter("repro_server_bytes_total", labels=("direction",),
+                                 help="Wire bytes by direction.")
+        for direction in ("in", "out"):
+            self.bytes.inc(0, (direction,))
+        self.requests = reg.counter("repro_server_requests_total", labels=("op",),
+                                    help="Requests handled by op.")
+        self.errors = reg.counter("repro_server_errors_total", labels=("code",),
+                                  help="Errors returned by code.")
+        self.latency = reg.histogram("repro_server_request_seconds", labels=("op",),
+                                     help="Request latency by op.")
+        # Per-dataset query traffic: the SLO tracker's inputs.
+        self.dataset_latency = reg.histogram(
+            "repro_server_dataset_request_seconds", labels=("dataset",),
+            help="Query latency by dataset.")
+        self.dataset_errors = reg.counter(
+            "repro_server_dataset_errors_total", labels=("dataset",),
+            help="Query errors by dataset.")
 
     # ------------------------------------------------------------------
     def observe_request(
@@ -122,70 +82,28 @@ class ServerMetrics:
         """Record one handled request (op label, latency, optional error).
 
         ``dataset`` additionally attributes the request to a dataset's
-        SLO counters; callers pass it for query ops only so control
+        SLO families; callers pass it for query ops only so control
         traffic (ping, stats, diag) never skews latency objectives.
         """
         op = op if isinstance(op, str) and op else "<invalid>"
-        # Allocate outside the lock: the first request for an op pays the
-        # histogram construction without extending the critical section;
-        # a racing thread's spare allocation is simply dropped.
-        fresh = None if op in self.latency else LatencyHistogram()
-        ds_fresh = (
-            None
-            if dataset is None or dataset in self.dataset_latency
-            else LatencyHistogram()
-        )
-        with self._lock:
-            self.requests_total[op] = self.requests_total.get(op, 0) + 1
-            hist = self.latency.get(op)
-            if hist is None:
-                hist = self.latency[op] = (
-                    fresh if fresh is not None else LatencyHistogram()
-                )
-            hist.observe(seconds)
+        self.requests.inc(labels=(op,))
+        self.latency.observe(seconds, (op,))
+        if error_code is not None:
+            self.errors.inc(labels=(error_code,))
+        if dataset is not None:
+            # Latency before errors: a reader that takes errors first
+            # never sees more errors than requests.
+            self.dataset_latency.observe(seconds, (dataset,))
             if error_code is not None:
-                self.errors_total[error_code] = (
-                    self.errors_total.get(error_code, 0) + 1
-                )
-            if dataset is not None:
-                self.dataset_requests[dataset] = (
-                    self.dataset_requests.get(dataset, 0) + 1
-                )
-                ds_hist = self.dataset_latency.get(dataset)
-                if ds_hist is None:
-                    ds_hist = self.dataset_latency[dataset] = (
-                        ds_fresh if ds_fresh is not None else LatencyHistogram()
-                    )
-                ds_hist.observe(seconds)
-                if error_code is not None:
-                    self.dataset_errors[dataset] = (
-                        self.dataset_errors.get(dataset, 0) + 1
-                    )
-
-    def dataset_view(self) -> dict:
-        """Per-dataset counters for the SLO tracker (consistent copy)."""
-        with self._lock:
-            return {
-                name: {
-                    "requests": self.dataset_requests.get(name, 0),
-                    "errors": self.dataset_errors.get(name, 0),
-                    "count": hist.count,
-                    "bounds": hist.bounds,
-                    "buckets": list(hist.buckets),
-                }
-                for name, hist in self.dataset_latency.items()
-            }
+                self.dataset_errors.inc(labels=(dataset,))
 
     def observe_error(self, error_code: str) -> None:
         """Record a protocol-level error that never reached a handler."""
-        with self._lock:
-            self.errors_total[error_code] = (
-                self.errors_total.get(error_code, 0) + 1
-            )
+        self.errors.inc(labels=(error_code,))
 
     def connection_opened(self) -> None:
+        self.connections_opened.inc()
         with self._lock:
-            self.connections_opened += 1
             self.connections_active += 1
 
     def connection_closed(self) -> None:
@@ -195,134 +113,58 @@ class ServerMetrics:
             self.connections_active = max(0, self.connections_active - 1)
 
     def shed(self) -> None:
-        with self._lock:
-            self.busy_shed_total += 1
-            self.errors_total["busy"] = self.errors_total.get("busy", 0) + 1
+        self.busy_shed.inc()
+        self.errors.inc(labels=("busy",))
 
     def refused_draining(self) -> None:
-        with self._lock:
-            self.shutting_down_total += 1
+        self.shutting_down.inc()
 
     def checkpointed(self, *, failed: bool = False) -> None:
-        with self._lock:
-            if failed:
-                self.checkpoint_failures_total += 1
-            else:
-                self.checkpoints_total += 1
+        (self.checkpoint_failures if failed else self.checkpoints).inc()
 
     def evicted(self) -> None:
-        with self._lock:
-            self.evictions_total += 1
+        self.evictions.inc()
 
     def add_bytes(self, *, received: int = 0, sent: int = 0) -> None:
-        with self._lock:
-            self.bytes_in += received
-            self.bytes_out += sent
+        if received:
+            self.bytes.inc(received, ("in",))
+        if sent:
+            self.bytes.inc(sent, ("out",))
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-safe metrics for the ``stats`` op."""
-        # The SLO tracker reads back through dataset_view(), which takes
-        # _lock itself — compute its section before entering the lock.
-        slo = self.slo
-        slo_section = slo.snapshot() if slo is not None else None
-        with self._lock:
-            doc = {
-                "uptime_seconds": round(time.time() - self.started_at, 3),
-                "requests_total": dict(self.requests_total),
-                "errors_total": dict(self.errors_total),
-                "latency": {
-                    op: hist.snapshot() for op, hist in self.latency.items()
-                },
-                "connections": {
-                    "opened": self.connections_opened,
-                    "active": self.connections_active,
-                },
-                "busy_shed_total": self.busy_shed_total,
-                "shutting_down_total": self.shutting_down_total,
-                "checkpoints_total": self.checkpoints_total,
-                "checkpoint_failures_total": self.checkpoint_failures_total,
-                "evictions_total": self.evictions_total,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "resources": self.registry.collect(),
-            }
-        if slo_section is not None:
-            doc["slo"] = slo_section
-        return doc
+        """JSON-safe metrics for the ``stats`` op.
+
+        The server's own families keep their ``stats`` keys; every other
+        unlabeled family (resource gauges, resilience counters) lands
+        in ``resources``.
+        """
+        values = self.registry.collect()
+        take = values.pop
+        directions = take("repro_server_bytes_total")
+        return {  # entries evaluate in order: ``resources`` is the rest
+            "uptime_seconds": round(take("repro_server_uptime_seconds"), 3),
+            "requests_total": take("repro_server_requests_total"),
+            "errors_total": take("repro_server_errors_total"),
+            "latency": take("repro_server_request_seconds"),
+            "connections": {
+                "opened": take("repro_server_connections_opened_total"),
+                "active": take("repro_server_connections_active"),
+            },
+            "busy_shed_total": take("repro_server_busy_shed_total"),
+            "shutting_down_total": take("repro_server_shutting_down_total"),
+            "checkpoints_total": take("repro_server_checkpoints_total"),
+            "checkpoint_failures_total": take(
+                "repro_server_checkpoint_failures_total"),
+            "evictions_total": take("repro_server_evictions_total"),
+            "bytes_in": directions["in"],
+            "bytes_out": directions["out"],
+            "resources": {
+                name: value for name, value in values.items()
+                if not isinstance(value, dict)
+            },
+        }
 
     def render_text(self) -> str:
-        """Prometheus text exposition (``# HELP``/``# TYPE`` + samples)."""
-        with self._lock:
-            lines = [
-                "# HELP repro_server_uptime_seconds Seconds since server start.",
-                "# TYPE repro_server_uptime_seconds gauge",
-                f"repro_server_uptime_seconds {time.time() - self.started_at:.3f}",
-                "# HELP repro_server_connections_active Currently open client connections.",
-                "# TYPE repro_server_connections_active gauge",
-                f"repro_server_connections_active {self.connections_active}",
-                "# HELP repro_server_connections_opened_total Connections accepted since start.",
-                "# TYPE repro_server_connections_opened_total counter",
-                f"repro_server_connections_opened_total {self.connections_opened}",
-                "# HELP repro_server_busy_shed_total Requests shed under backpressure.",
-                "# TYPE repro_server_busy_shed_total counter",
-                f"repro_server_busy_shed_total {self.busy_shed_total}",
-                "# HELP repro_server_checkpoints_total Session checkpoints written.",
-                "# TYPE repro_server_checkpoints_total counter",
-                f"repro_server_checkpoints_total {self.checkpoints_total}",
-                "# HELP repro_server_evictions_total Idle sessions evicted.",
-                "# TYPE repro_server_evictions_total counter",
-                f"repro_server_evictions_total {self.evictions_total}",
-                "# HELP repro_server_bytes_total Wire bytes by direction.",
-                "# TYPE repro_server_bytes_total counter",
-                f'repro_server_bytes_total{{direction="in"}} {self.bytes_in}',
-                f'repro_server_bytes_total{{direction="out"}} {self.bytes_out}',
-                "# HELP repro_server_requests_total Requests handled by op.",
-                "# TYPE repro_server_requests_total counter",
-            ]
-            for op in sorted(self.requests_total):
-                lines.append(
-                    f'repro_server_requests_total{{op="{op}"}} '
-                    f"{self.requests_total[op]}"
-                )
-            lines.append("# HELP repro_server_errors_total Errors returned by code.")
-            lines.append("# TYPE repro_server_errors_total counter")
-            for code in sorted(self.errors_total):
-                lines.append(
-                    f'repro_server_errors_total{{code="{code}"}} '
-                    f"{self.errors_total[code]}"
-                )
-            lines.append(
-                "# HELP repro_server_request_seconds Request latency by op."
-            )
-            lines.append("# TYPE repro_server_request_seconds histogram")
-            for op in sorted(self.latency):
-                hist = self.latency[op]
-                cumulative = 0
-                for bound, n in zip(hist.bounds, hist.buckets):
-                    cumulative += n
-                    lines.append(
-                        f'repro_server_request_seconds_bucket{{op="{op}",'
-                        f'le="{bound}"}} {cumulative}'
-                    )
-                lines.append(
-                    f'repro_server_request_seconds_bucket{{op="{op}",'
-                    f'le="+Inf"}} {hist.count}'
-                )
-                lines.append(
-                    f'repro_server_request_seconds_sum{{op="{op}"}} '
-                    f"{hist.sum:.6f}"
-                )
-                lines.append(
-                    f'repro_server_request_seconds_count{{op="{op}"}} '
-                    f"{hist.count}"
-                )
-            body = "\n".join(lines) + "\n"
-        # Registry gauges read process state (RSS, shm) and the SLO
-        # tracker reads back through dataset_view() — render both
-        # outside the server lock.
-        body += self.registry.render_text()
-        slo = self.slo
-        if slo is not None:
-            body += slo.render_text()
-        return body
+        """Prometheus text exposition of the whole registry."""
+        return self.registry.render_text()

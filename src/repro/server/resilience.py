@@ -131,7 +131,7 @@ def register_resilience_metrics(
     family exists on every server).
     """
     for counter in (RETRIES, DEADLINE_EXCEEDED, CHAOS_INJECTED):
-        registry.attach_counter(counter)
+        registry.attach(counter)
     fn = degraded if degraded is not None else (lambda: False)
     registry.register_gauge(
         "repro_degraded_mode",

@@ -861,9 +861,10 @@ class StabilitySession:
         return out
 
     def pool_bytes(self) -> int:
-        """Approximate bytes held by the randomized sample pools."""
+        """Approximate bytes held by the randomized sample pools (safe
+        to call while request threads create configs)."""
         total = 0
-        for state in self._states.values():
+        for state in list(self._states.values()):
             if state.is_randomized:
                 total += state.engine.backend.raw.tally.nbytes
         return total
@@ -877,7 +878,7 @@ class StabilitySession:
         not OpenBLAS — so an answer can be traced to the BLAS that
         scored it."""
         pools = {}
-        for (kind, k, backend), state in self._states.items():
+        for (kind, k, backend), state in list(self._states.items()):
             label = f"{kind}" + (f":k={k}" if k is not None else "") + f"@{backend}"
             if state.is_randomized:
                 raw = state.engine.backend.raw

@@ -1,13 +1,16 @@
-"""MetricsRegistry, resource gauges, and the exposition linter the CI
-smoke job runs against the live ``--metrics-port`` endpoint."""
+"""MetricsRegistry (labeled counter, gauge and histogram families),
+resource gauges, and the exposition linter the CI smoke job runs
+against the live ``--metrics-port`` endpoint."""
 
 from __future__ import annotations
 
+import logging
 import math
 
 import pytest
 
 from repro.obs import MetricsRegistry, register_resource_gauges, rss_bytes
+from repro.obs.metrics import LATENCY_BOUNDS
 from repro.obs.promlint import lint
 
 
@@ -36,7 +39,9 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.register_gauge("y_total", lambda: 0, help="h")
 
-    def test_failing_gauge_is_nan_in_collect_skipped_in_text(self):
+    def test_failing_gauge_is_skipped_in_collect_and_text(self, caplog):
+        """One rule on both surfaces: a gauge that raises is left out,
+        and each miss is logged."""
         registry = MetricsRegistry()
 
         def boom() -> float:
@@ -44,9 +49,26 @@ class TestRegistry:
 
         registry.register_gauge("bad", boom, help="h")
         registry.register_gauge("good", lambda: 1.0, help="h")
-        assert math.isnan(registry.collect()["bad"])
-        text = registry.render_text()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert registry.collect() == {"good": 1.0}
+            text = registry.render_text()
         assert "bad" not in text and "good 1" in text
+        misses = [
+            r for r in caplog.records if "metrics.gauge_error" in r.getMessage()
+        ]
+        assert len(misses) == 2
+
+    def test_non_finite_samples_stay_out_of_collect(self):
+        registry = MetricsRegistry()
+        registry.register_gauge("inf", lambda: math.inf, help="h")
+        registry.register_gauge(
+            "burn", lambda: {"a": math.inf, "b": 2.0}, help="h",
+            labels=("dataset",),
+        )
+        assert registry.collect() == {"burn": {"b": 2.0}}
+        text = registry.render_text()
+        assert "inf +Inf" in text and 'burn{dataset="a"} +Inf' in text
+        assert lint(text) == []
 
     def test_render_text_lints_clean(self):
         registry = MetricsRegistry()
@@ -64,11 +86,76 @@ class TestRegistry:
         assert registry.collect() == {}
 
 
+class TestLabeledFamilies:
+    def test_labeled_counter_renders_sorted_series_and_collects_by_label(self):
+        registry = MetricsRegistry()
+        requests = registry.counter("r_total", help="h", labels=("op",))
+        requests.inc(labels=("ping",))
+        requests.inc(2, ("get_next",))
+        assert registry.collect() == {"r_total": {"get_next": 2, "ping": 1}}
+        text = registry.render_text()
+        assert text.index('r_total{op="get_next"} 2') < text.index(
+            'r_total{op="ping"} 1'
+        )
+        assert lint(text) == []
+
+    def test_labeled_counter_redeclared_with_other_labels_raises(self):
+        registry = MetricsRegistry()
+        registry.counter("r_total", help="h", labels=("op",))
+        with pytest.raises(ValueError):
+            registry.counter("r_total", help="h", labels=("code",))
+        with pytest.raises(ValueError):
+            registry.histogram("r_total", help="h", labels=("op",))
+
+    def test_histogram_family_renders_cumulative_buckets_per_label(self):
+        registry = MetricsRegistry()
+        latency = registry.histogram("lat_seconds", help="h", labels=("op",))
+        for value in (0.0002, 0.002, 20.0):
+            latency.observe(value, ("q",))
+        text = registry.render_text()
+        assert lint(text) == [], lint(text)
+        assert "# TYPE lat_seconds histogram" in text
+        bounds = [
+            line.split('le="')[1].split('"')[0]
+            for line in text.splitlines()
+            if line.startswith("lat_seconds_bucket")
+        ]
+        assert bounds == [str(b) for b in LATENCY_BOUNDS] + ["+Inf"]
+        assert 'lat_seconds_bucket{op="q",le="0.00025"} 1' in text
+        assert 'lat_seconds_bucket{op="q",le="10.0"} 2' in text
+        assert 'lat_seconds_bucket{op="q",le="+Inf"} 3' in text
+        assert 'lat_seconds_count{op="q"} 3' in text
+        snap = registry.collect()["lat_seconds"]["q"]
+        assert snap["count"] == 3
+        assert snap["p99_seconds"] == "inf"  # JSON-safe past the last bound
+
+    def test_multi_label_gauge_and_escaped_label_values(self):
+        registry = MetricsRegistry()
+        registry.register_gauge(
+            "g", lambda: {("a\"b", "p99"): 1.5}, help="h",
+            labels=("dataset", "objective"),
+        )
+        text = registry.render_text()
+        assert 'g{dataset="a\\"b",objective="p99"} 1.5' in text
+        assert lint(text) == []
+        assert registry.collect() == {"g": {'a"b,p99': 1.5}}
+
+    def test_unlabeled_families_render_zero_before_first_use(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", help="h")
+        registry.histogram("h_seconds", help="h")
+        text = registry.render_text()
+        assert "c_total 0" in text
+        assert 'h_seconds_bucket{le="+Inf"} 0' in text
+        assert lint(text) == []
+
+
 class TestResourceGauges:
     def test_standard_names_and_live_values(self):
         registry = MetricsRegistry()
         register_resource_gauges(
-            registry, pool_bytes=lambda: 123, cache_bytes=lambda: 456
+            registry, shm_segments=lambda: 0,
+            pool_bytes=lambda: 123, cache_bytes=lambda: 456,
         )
         values = registry.collect()
         assert set(values) == {
@@ -85,8 +172,7 @@ class TestResourceGauges:
         registry = MetricsRegistry()
         register_resource_gauges(registry)
         values = registry.collect()
-        assert "repro_pool_bytes" not in values
-        assert "repro_cache_bytes" not in values
+        assert set(values) == {"repro_process_rss_bytes"}
 
     def test_rss_bytes_is_positive_here(self):
         assert rss_bytes() > 0

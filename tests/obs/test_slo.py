@@ -1,5 +1,6 @@
-"""SLO engine: spec parsing, burn-rate math against real per-dataset
-histograms, pre-registered datasets, and lint-clean exposition."""
+"""SLO engine: spec parsing, burn-rate math against the real per-dataset
+histogram and error families, pre-registered datasets, and the
+lint-clean labeled gauges it registers on the metrics registry."""
 
 from __future__ import annotations
 
@@ -72,12 +73,18 @@ def _metrics_with_traffic(
     return metrics
 
 
+def _tracker(spec: str, metrics: ServerMetrics) -> SloTracker:
+    return SloTracker(
+        parse_slo(spec), metrics.dataset_latency, metrics.dataset_errors
+    )
+
+
 class TestBurnMath:
     def test_latency_burn_is_violation_rate_over_allowance(self):
         # 90 fast + 10 slow at p99:1ms -> violation rate 0.1 against a
         # 1% allowance: burn 10, non-compliant.
         metrics = _metrics_with_traffic(fast=90, slow=10)
-        tracker = SloTracker(parse_slo("p99:1ms"), metrics.dataset_view)
+        tracker = _tracker("p99:1ms", metrics)
         score = tracker.snapshot()["datasets"]["default"]
         obj = score["objectives"]["p99"]
         assert obj["violations"] == 10
@@ -88,7 +95,7 @@ class TestBurnMath:
 
     def test_all_fast_traffic_is_compliant(self):
         metrics = _metrics_with_traffic(fast=100)
-        tracker = SloTracker(parse_slo("p99:1ms"), metrics.dataset_view)
+        tracker = _tracker("p99:1ms", metrics)
         obj = tracker.snapshot()["datasets"]["default"]["objectives"]["p99"]
         assert obj["violations"] == 0
         assert obj["burn_rate"] == 0.0
@@ -99,28 +106,26 @@ class TestBurnMath:
         # target falls below that bound, so conservatively every
         # observation counts as a violation.
         metrics = _metrics_with_traffic(fast=10)
-        tracker = SloTracker(parse_slo("p99:0.1ms"), metrics.dataset_view)
+        tracker = _tracker("p99:0.1ms", metrics)
         obj = tracker.snapshot()["datasets"]["default"]["objectives"]["p99"]
         assert obj["violations"] == 10
 
     def test_error_burn_and_infinite_budget(self):
         metrics = _metrics_with_traffic(fast=95, errors=5)
-        tracker = SloTracker(parse_slo("err:10%"), metrics.dataset_view)
+        tracker = _tracker("err:10%", metrics)
         obj = tracker.snapshot()["datasets"]["default"]["objectives"]["err"]
         assert obj["observed_rate"] == pytest.approx(0.05)
         assert obj["burn_rate"] == pytest.approx(0.5)
         assert obj["compliant"] is True
 
-        strict = SloTracker(parse_slo("err:0%"), metrics.dataset_view)
+        strict = _tracker("err:0%", metrics)
         obj = strict.snapshot()["datasets"]["default"]["objectives"]["err"]
         assert obj["burn_rate"] == "inf"  # any error blows a zero budget
         assert obj["compliant"] is False
 
     def test_zero_traffic_is_compliant_with_zero_burn(self):
         metrics = ServerMetrics()
-        tracker = SloTracker(
-            parse_slo("p99:1ms,err:1%"), metrics.dataset_view
-        )
+        tracker = _tracker("p99:1ms,err:1%", metrics)
         tracker.watch("default")
         score = tracker.snapshot()["datasets"]["default"]
         assert score["compliant"] is True
@@ -129,7 +134,7 @@ class TestBurnMath:
 
     def test_watched_datasets_appear_before_traffic(self):
         metrics = ServerMetrics()
-        tracker = SloTracker(parse_slo("p99:1s"), metrics.dataset_view)
+        tracker = _tracker("p99:1s", metrics)
         tracker.watch("a", "b")
         snap = tracker.snapshot()
         assert set(snap["datasets"]) == {"a", "b"}
@@ -139,10 +144,8 @@ class TestBurnMath:
 class TestExposition:
     def test_render_text_lints_clean_with_traffic(self):
         metrics = _metrics_with_traffic(fast=50, slow=5, errors=5)
-        tracker = SloTracker(
-            parse_slo("p50:1ms,p99:1ms,err:1%"), metrics.dataset_view
-        )
-        metrics.slo = tracker
+        tracker = _tracker("p50:1ms,p99:1ms,err:1%", metrics)
+        tracker.register(metrics.registry)
         text = metrics.render_text()
         assert lint(text) == [], lint(text)
         assert 'repro_slo_burn_rate{dataset="default",objective="p99"}' in text
@@ -152,8 +155,8 @@ class TestExposition:
 
     def test_infinite_burn_renders_as_prometheus_inf(self):
         metrics = _metrics_with_traffic(fast=9, errors=1)
-        tracker = SloTracker(parse_slo("err:0%"), metrics.dataset_view)
-        text = tracker.render_text()
+        _tracker("err:0%", metrics).register(metrics.registry)
+        text = metrics.render_text()
         assert lint(text) == [], lint(text)
         line = next(
             l for l in text.splitlines()
@@ -167,7 +170,19 @@ class TestExposition:
             parse_slo("   ")
         # But a hand-built latency-only spec renders without err series.
         spec = SloSpec(latency={"p99": (0.99, 1.0)}, source="p99:1s")
-        tracker = SloTracker(spec, lambda: {})
-        text = tracker.render_text()
+        metrics = ServerMetrics()
+        SloTracker(
+            spec, metrics.dataset_latency, metrics.dataset_errors
+        ).register(metrics.registry)
+        text = metrics.render_text()
+        assert "repro_slo_error_rate" not in text
+        assert lint(text) == [], lint(text)
+
+    def test_reregistering_without_err_drops_the_error_rate_family(self):
+        metrics = _metrics_with_traffic(fast=1)
+        _tracker("p99:1s,err:1%", metrics).register(metrics.registry)
+        assert "repro_slo_error_rate" in metrics.render_text()
+        _tracker("p99:1s", metrics).register(metrics.registry)
+        text = metrics.render_text()
         assert "repro_slo_error_rate" not in text
         assert lint(text) == [], lint(text)

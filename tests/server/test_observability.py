@@ -4,19 +4,18 @@ extended ``stats`` surface, metrics-endpoint lint, and the hardened
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 import threading
 import urllib.request
 
 from server_testlib import make_dataset, running_server
 
+from repro.obs.metrics import LATENCY_BOUNDS, LatencyHistogram
 from repro.obs.promlint import lint
-from repro.server import ServeClient
-from repro.server.metrics import (
-    LATENCY_BOUNDS,
-    LatencyHistogram,
-    ServerMetrics,
-)
+from repro.server import ServeClient, protocol
+from repro.server.metrics import ServerMetrics
 
 QUERY = {
     "op": "top_stable", "m": 3, "kind": "topk_set", "k": 5,
@@ -123,8 +122,9 @@ class TestServerMetricsHardening:
         metrics.connection_opened()
         metrics.connection_closed()
         metrics.connection_closed()  # double-close race must not go negative
-        assert metrics.connections_active == 0
-        assert metrics.connections_opened == 1
+        assert metrics.snapshot()["connections"] == {"opened": 1, "active": 0}
+        metrics.connection_opened()
+        assert metrics.snapshot()["connections"] == {"opened": 2, "active": 1}
 
     def test_concurrent_updates_stay_consistent(self):
         """Satellite check: many threads hammering the hot paths leave
@@ -148,20 +148,53 @@ class TestServerMetricsHardening:
             threading.Thread(target=worker, args=(i,))
             for i in range(threads_n)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often: expose lost updates
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
 
         total = threads_n * per_thread
-        assert sum(metrics.requests_total.values()) == total
-        assert sum(h.count for h in metrics.latency.values()) == total
-        assert metrics.errors_total["boom"] == threads_n * (per_thread // 50)
-        assert metrics.connections_opened == total
-        assert metrics.connections_active >= 0
         snap = metrics.snapshot()
+        assert sum(snap["requests_total"].values()) == total
+        assert sum(h["count"] for h in snap["latency"].values()) == total
+        assert snap["errors_total"]["boom"] == threads_n * (per_thread // 50)
+        assert snap["connections"]["opened"] == total
         assert snap["connections"]["active"] >= 0
         assert lint(metrics.render_text()) == []
+
+    def test_raising_gauge_leaves_stats_encodable(self):
+        """A gauge that raises is left out of the snapshot, as it is of
+        the exposition, so the strict-JSON ``stats`` frame still goes
+        out instead of an ``internal`` error."""
+        metrics = ServerMetrics()
+
+        def boom() -> int:
+            raise RuntimeError("dictionary changed size during iteration")
+
+        metrics.registry.register_gauge("repro_pool_bytes", boom, help="h")
+        metrics.observe_request("top_stable", 0.004, dataset="default")
+        frame = json.loads(protocol.encode_response(
+            {"ok": True, "server": {"metrics": metrics.snapshot()}}
+        ))
+        assert frame["ok"] is True
+        assert "repro_pool_bytes" not in frame["server"]["metrics"]["resources"]
+        assert "repro_pool_bytes" not in metrics.render_text()
+
+    def test_request_past_the_last_bound_leaves_stats_encodable(self):
+        metrics = ServerMetrics()
+        metrics.observe_request("top_stable", LATENCY_BOUNDS[-1] * 2)
+        frame = json.loads(protocol.encode_response(
+            {"ok": True, "server": {"metrics": metrics.snapshot()}}
+        ))
+        assert frame["ok"] is True
+        latency = frame["server"]["metrics"]["latency"]["top_stable"]
+        assert latency["p99_seconds"] == "inf"
 
 
 class TestLatencyHistogramQuantiles:

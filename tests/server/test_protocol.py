@@ -10,7 +10,8 @@ import pytest
 from repro import Dataset, StabilitySession
 from repro.errors import ExhaustedError
 from repro.server import protocol
-from repro.server.metrics import LatencyHistogram, ServerMetrics
+from repro.obs.metrics import LatencyHistogram
+from repro.server.metrics import ServerMetrics
 
 from server_testlib import make_dataset
 

@@ -1,5 +1,7 @@
 """StabilitySession: state reuse, caching, invalidation, exact configs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,40 @@ class TestValidation:
         assert stats["blas"] is None or stats["blas"]["threads"] == 1
         (label,) = stats["configs"]
         assert label == "topk_set:k=4@randomized"
+
+
+class TestConfigWalks:
+    def test_pool_bytes_and_stats_survive_a_config_created_mid_walk(
+        self, session
+    ):
+        """Request threads create configs while the event loop reads
+        ``pool_bytes`` (overload checks, the ``repro_pool_bytes``
+        gauge): the walk must not see the map change size under it."""
+        states = session._states
+
+        class InsertingTally:
+            @property
+            def nbytes(self):
+                states[("topk_set", len(states) + 100, "randomized")] = fake()
+                return 8
+
+            def __len__(self):
+                return 0
+
+        def fake():
+            raw = SimpleNamespace(
+                tally=InsertingTally(), total_samples=0, returned=(),
+                kernel_backend=SimpleNamespace(name="numpy"), sampling="mc",
+            )
+            return SimpleNamespace(
+                is_randomized=True,
+                engine=SimpleNamespace(backend=SimpleNamespace(raw=raw)),
+            )
+
+        states[("topk_set", 4, "randomized")] = fake()
+        assert session.pool_bytes() == 8
+        assert len(states) == 2
+        assert "topk_set:k=4@randomized" in session.stats()["configs"]
 
 
 class TestCacheKeyPoolDepth:

@@ -2,7 +2,8 @@
 
 The library tiers (``core``, ``engine``, ``service``, ``sampling``,
 ``operators``, ``geometry``, ``obs``) must import without the serving
-tiers above them.  Every module is parsed with :mod:`ast`, so imports
+tiers above them, and ``obs`` is the bottom tier: it imports no other
+``repro`` package.  Every module is parsed with :mod:`ast`, so imports
 inside functions count too — a lazy import still couples the layers
 and still pays the upper tier's import cost on first use.
 """
@@ -60,6 +61,12 @@ def _violations(path: Path) -> list[str]:
     ]
 
 
+def _leaves_obs(name: str) -> bool:
+    in_repro = name == "repro" or name.startswith("repro.")
+    in_obs = name == "repro.obs" or name.startswith("repro.obs.")
+    return in_repro and not in_obs
+
+
 def test_lower_tiers_exist():
     assert all((PACKAGE / tier / "__init__.py").exists() for tier in LOWER)
 
@@ -69,6 +76,37 @@ def test_lower_tiers_exist():
 )
 def test_no_upward_imports(path):
     assert _violations(path) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((PACKAGE / "obs").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_obs_imports_no_other_tier(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [
+        f"{path.relative_to(PACKAGE)}:{line} imports {name}"
+        for line, name in _imported(path, tree)
+        if _leaves_obs(name)
+    ] == []
+
+
+def test_obs_checker_sees_lazy_and_relative_imports():
+    module = PACKAGE / "obs" / "probe.py"
+    tree = ast.parse(
+        "from repro.obs.metrics import MetricsRegistry\n"
+        "from . import flight\n"
+        "def f():\n"
+        "    from repro.service.procpool import live_segments\n"
+        "    from ..engine import kernel\n"
+        "    from repro import errors\n"
+    )
+    flagged = {name for _, name in _imported(module, tree) if _leaves_obs(name)}
+    assert "repro.service.procpool" in flagged
+    assert "repro.engine" in flagged
+    assert "repro.errors" in flagged
+    assert not any(n.startswith("repro.obs") for n in flagged)
 
 
 def test_checker_sees_function_local_and_relative_imports():
